@@ -220,7 +220,7 @@ def cmd_transform(args) -> int:
         gamma_upper = args.gamma_upper
         if gamma_upper is None:
             gamma_upper = exact_invariants(g, limit=limit).gamma_upper
-        seq = minor_sparse_transform(g, ds, dt, d, gamma_upper)
+        seq = minor_sparse_transform(g, ds, dt, d, gamma_upper, limit=limit)
         bound = 2 * gamma_upper * (d - 1) + 2 * (gamma_upper - 1)
         comments.append(f"k {seq.k} (Gamma {gamma_upper} + d {d} - 1)")
     else:

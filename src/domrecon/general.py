@@ -10,6 +10,7 @@ from __future__ import annotations
 from .graphs import (
     Graph,
     GraphInvariants,
+    coverage,
     greedy_maximal_is,
     is_dominating,
     is_minimal_dominating,
@@ -77,10 +78,16 @@ def common_vertex_path(g: Graph, d1, d2, k: int) -> ReconfigSequence:
 
 
 def _find_swap_pair(g: Graph, d1, d2):
-    """First (u, v) in ascending pair order with (d1 - {u}) | {v} dominating."""
+    """First (u, v) in ascending pair order with (d1 - {u}) | {v} dominating.
+
+    Dropping u from the dominating set d1 uncovers exactly u's private set
+    (see coverage), so the swap is valid iff nb_mask[v] covers all of it.
+    """
+    _, twice = coverage(g, d1)
     for u in sorted(d1):
+        private = g.nb_mask[u] & ~twice
         for v in sorted(d2):
-            if is_dominating(g, (d1 - {u}) | {v}):
+            if not private & ~g.nb_mask[v]:
                 return u, v
     return None
 
@@ -157,7 +164,8 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
         reduced, removals = reduce_to_minimal(g, swapped)
         # v was added because d1 - {u} does not dominate on its own, so the
         # re-minimalization can never drop it
-        assert v in reduced
+        if v not in reduced:
+            raise RuntimeError(f"re-minimalization dropped swapped-in vertex {v + 1}")
         moves += tuple(Move.remove(w) for w in removals)
         head = ReconfigSequence(d1, moves, k)
         return head + common_vertex_path(g, reduced, d2, k)
@@ -189,5 +197,5 @@ def _lowest_undominated(g: Graph, s) -> int:
         cov |= g.nb_mask[v]
     missing = g.full_mask & ~cov
     if not missing:
-        raise AssertionError("swap candidate unexpectedly dominating")
+        raise RuntimeError("swap candidate unexpectedly dominating")
     return (missing & -missing).bit_length() - 1

@@ -194,48 +194,56 @@ def is_dominating(g: Graph, s) -> bool:
     return cov == g.full_mask
 
 
+def coverage(g: Graph, s) -> tuple[int, int]:
+    """Masks of the vertices dominated at least once and at least twice by s.
+
+    The private set of a member v is nb_mask[v] & ~twice: the vertices that
+    only v dominates. v can be dropped from s, keeping it dominating, iff s
+    dominates (once == full_mask) and that private set is empty. One pass
+    answers the question for every member at once.
+    """
+    once = twice = 0
+    for v in s:
+        nb = g.nb_mask[v]
+        twice |= once & nb
+        once |= nb
+    return once, twice
+
+
+def _first_droppable(g: Graph, order, s) -> int | None:
+    # first vertex of `order` whose private set within s is empty
+    once, twice = coverage(g, s)
+    if once == g.full_mask:
+        for v in order:
+            if not g.nb_mask[v] & ~twice:
+                return v
+    return None
+
+
 def is_minimal_dominating(g: Graph, s) -> bool:
     """Dominating, and no single vertex can be dropped."""
     members = sorted(s)
-    cov = 0
-    for v in members:
-        cov |= g.nb_mask[v]
-    if cov != g.full_mask:
-        return False
-    for v in members:
-        rest = 0
-        for u in members:
-            if u != v:
-                rest |= g.nb_mask[u]
-        if rest == g.full_mask:
-            return False
-    return True
+    return is_dominating(g, members) and _is_minimal_given_cov(
+        g.nb_mask, members, g.full_mask
+    )
 
 
 def reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
     """Greedy minimalization of a dominating set.
 
-    Scans vertices in ascending id, removes the first one whose removal keeps
-    the set dominating, and restarts the scan; repeats until no vertex is
-    removable. Returns the minimal subset and the removal order. Every prefix
-    of the removal order passes through dominating sets only.
+    Removes the lowest-id member whose private set (see coverage) is empty,
+    then recomputes the coverage and repeats until every member has a
+    private vertex. Returns the minimal subset and the removal order. Every
+    prefix of the removal order passes through dominating sets only.
     """
     if not is_dominating(g, s):
         raise ValueError("input set is not dominating")
     current = set(s)
     removals: list[int] = []
-    while True:
-        for v in sorted(current):
-            rest = 0
-            for u in current:
-                if u != v:
-                    rest |= g.nb_mask[u]
-            if rest == g.full_mask:
-                current.remove(v)
-                removals.append(v)
-                break
-        else:
-            return frozenset(current), removals
+    while (v := _first_droppable(g, sorted(current), current)) is not None:
+        current.remove(v)
+        removals.append(v)
+    return frozenset(current), removals
 
 
 def pop_removable(g: Graph, current: set[int], prefer_outside) -> int:
@@ -244,20 +252,15 @@ def pop_removable(g: Graph, current: set[int], prefer_outside) -> int:
     Candidates outside prefer_outside come first, lowest id breaking ties;
     a vertex is droppable when the rest still dominates. Mutates current.
     """
-    full = g.full_mask
-    nb = g.nb_mask
-    for v in sorted(current, key=lambda v: (v in prefer_outside, v)):
-        rest = 0
-        for u in current:
-            if u != v:
-                rest |= nb[u]
-        if rest == full:
-            current.remove(v)
-            return v
-    raise ValueError(
-        "no removable vertex above the claimed Gamma; is gamma_upper"
-        " the true upper domination number?"
-    )
+    order = sorted(current, key=lambda v: (v in prefer_outside, v))
+    v = _first_droppable(g, order, current)
+    if v is None:
+        raise ValueError(
+            "no removable vertex above the claimed Gamma; is gamma_upper"
+            " the true upper domination number?"
+        )
+    current.remove(v)
+    return v
 
 
 def greedy_maximal_is(g: Graph, seed=frozenset()) -> frozenset[int]:
@@ -334,7 +337,8 @@ def exact_invariants(g: Graph, limit: int = 24) -> GraphInvariants:
                     found_is = True
                     if size > alpha_size or size == 0:
                         alpha_size, max_is = size, combo
-    assert gamma is not None and upper_ds is not None
+    if gamma is None or upper_ds is None:
+        raise RuntimeError("the full vertex set always dominates")
     return GraphInvariants(
         gamma_min=gamma,
         gamma_upper=upper_size,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    coverage,
     exact_invariants,
     is_dominating,
     mask_of,
@@ -66,8 +67,9 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
     For each a in A - B (ascending) the search runs d rounds. Each round
     keeps a size-(d-1) set S of B - A containing all previously recorded
     dominators (padded with the lowest unused ids of B - A) and looks for
-    the lowest-id vertex x whose closed neighborhood meets A exactly in {a}
-    and avoids S. No such x means (A | S) - {a} is dominating: SwapWitness.
+    the lowest-id vertex x of a's private set within A (see coverage: the
+    x with N[x] & A == {a}) that S does not dominate. No such x means
+    (A | S) - {a} is dominating: SwapWitness.
     Otherwise the lowest dominator of x in (B - A) - S is recorded and the
     next round starts. If every a survives all d rounds, the recorded
     vertices form a DensityWitness.
@@ -83,11 +85,11 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
     a_minus_b = sorted(A - B)
     if not a_minus_b:
         raise ValueError("A - B is empty; nothing to swap")
-    amask = mask_of(A)
+    _, twice_a = coverage(g, A)
     bma_mask = mask_of(b_minus_a)
     entries: list[DensityEntry] = []
     for a in a_minus_b:
-        abit = 1 << a
+        private = g.nb_mask[a] & ~twice_a
         recorded: list[int] = []
         xs: list[int] = []
         for _round in range(d):
@@ -98,18 +100,17 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
                 if w not in recorded:
                     s_set.append(w)
             smask = mask_of(s_set)
-            x = None
-            for cand in range(g.n):
-                nb = g.nb_mask[cand]
-                if nb & amask == abit and not nb & smask:
-                    x = cand
-                    break
-            if x is None:
+            once_s, _ = coverage(g, s_set)
+            candidates = private & ~once_s
+            if not candidates:
                 witness = SwapWitness(a=a, s=frozenset(s_set))
-                assert is_dominating(g, (A | witness.s) - {a})
+                if not is_dominating(g, (A | witness.s) - {a}):
+                    raise RuntimeError(f"swap dropping {a + 1} broke domination")
                 return witness
+            x = (candidates & -candidates).bit_length() - 1
             choices = g.nb_mask[x] & bma_mask & ~smask
-            assert choices, "B dominates x outside A and outside S"
+            if not choices:
+                raise RuntimeError(f"B dominates {x + 1} only from A or S")
             b = (choices & -choices).bit_length() - 1
             recorded.append(b)
             xs.append(x)
@@ -183,12 +184,13 @@ def pad_to_size(g: Graph, D, target: int, k: int) -> ReconfigSequence:
         absent = [v for v in range(g.n) if v not in D]
         moves = tuple(Move.add(v) for v in absent[: target - len(D)])
         return ReconfigSequence(D, moves, k)
-    _, removals = reduce_to_minimal(g, D)
     need = len(D) - target
+    removals = reduce_to_minimal(g, D)[1] if need else []
     if len(removals) < need:
         raise ValueError(
             f"cannot shrink to {target}: greedy minimalization stops at"
-            f" size {len(D) - len(removals)}"
+            f" size {len(D) - len(removals)}; is gamma_upper the true upper"
+            " domination number?"
         )
     return ReconfigSequence(D, tuple(Move.remove(v) for v in removals[:need]), k)
 
@@ -213,7 +215,7 @@ def suggested_density(
 
 
 def minor_sparse_transform(
-    g: Graph, ds, dt, d: int, gamma_upper: int
+    g: Graph, ds, dt, d: int, gamma_upper: int, limit: int = 24
 ) -> ReconfigSequence:
     """Dominating-set reconfiguration with budget Gamma + d - 1.
 
@@ -222,7 +224,7 @@ def minor_sparse_transform(
     remainder is a plain add-then-remove walk. Length is bounded by
     2*Gamma*(d-1) + 2*(Gamma-1). When d exceeds Gamma the general
     transform already fits the budget and is used as-is (this needs exact
-    invariants, so it is limited to brute-force scale).
+    invariants, so it needs g.n <= limit).
 
     Raises:
         NotMinorSparseError: find_swap certified a dense bipartite minor,
@@ -242,7 +244,7 @@ def minor_sparse_transform(
     if ds == dt:
         return ReconfigSequence(ds, (), k)
     if d > gamma_upper:
-        return general_transform(g, ds, dt, exact_invariants(g), k=k)
+        return general_transform(g, ds, dt, exact_invariants(g, limit=limit), k=k)
 
     head = pad_to_size(g, ds, gamma_upper, k)
     tail = pad_to_size(g, dt, gamma_upper, k)

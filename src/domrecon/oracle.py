@@ -104,9 +104,23 @@ def build_reconfig_graph(
             if j is not None:
                 adj[i].append(j)
                 adj[j].append(i)
-    comp = [-1] * len(nodes)
+    adj = tuple(tuple(sorted(a)) for a in adj)
+    comp, num_components = _label_components(adj)
+    return ReconfigGraph(
+        graph_n=g.n,
+        k=k,
+        nodes=tuple(nodes),
+        adj=adj,
+        comp=comp,
+        num_components=num_components,
+    )
+
+
+def _label_components(adj) -> tuple[tuple[int, ...], int]:
+    # BFS labels in node order: component ids follow each component's first node
+    comp = [-1] * len(adj)
     num_components = 0
-    for s in range(len(nodes)):
+    for s in range(len(adj)):
         if comp[s] != -1:
             continue
         comp[s] = num_components
@@ -118,14 +132,7 @@ def build_reconfig_graph(
                     comp[w] = num_components
                     queue.append(w)
         num_components += 1
-    return ReconfigGraph(
-        graph_n=g.n,
-        k=k,
-        nodes=tuple(nodes),
-        adj=tuple(tuple(sorted(a)) for a in adj),
-        comp=tuple(comp),
-        num_components=num_components,
-    )
+    return tuple(comp), num_components
 
 
 def is_connected(rg: ReconfigGraph) -> bool:
@@ -155,7 +162,7 @@ def distance(rg: ReconfigGraph, a, b) -> int | float:
                 if w == ib:
                     return dist[w]
                 queue.append(w)
-    raise AssertionError("BFS must reach a node of the same component")
+    raise RuntimeError("BFS must reach a node of the same component")
 
 
 def _eccentricities(rg: ReconfigGraph, sources) -> int:
@@ -223,7 +230,7 @@ def threshold_scan(
     d0_empirical is the smallest k0 in the scanned window with R_k connected
     for every k0 <= k <= kmax, or None when R_kmax itself is disconnected
     (the threshold then lies outside the window). Known monotonicity, that
-    connectivity at some k > Gamma persists at k + 1, is asserted on every
+    connectivity at some k > Gamma persists at k + 1, is checked on every
     scan as a self-check of the enumeration.
     """
     if kmax > g.n:
@@ -235,43 +242,32 @@ def threshold_scan(
     full_rg = build_reconfig_graph(g, kmax, limit=limit, subset_cap=subset_cap)
     records: list[ThresholdRecord] = []
     for k in range(gamma, kmax + 1):
-        keep = [i for i, mask in enumerate(full_rg.nodes) if mask.bit_count() <= k]
-        remap = {old: new for new, old in enumerate(keep)}
-        nodes = tuple(full_rg.nodes[i] for i in keep)
-        adj = tuple(
-            tuple(remap[w] for w in full_rg.adj[i] if w in remap) for i in keep
-        )
-        comp = [-1] * len(nodes)
-        ncomp = 0
-        for s in range(len(nodes)):
-            if comp[s] != -1:
-                continue
-            comp[s] = ncomp
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if comp[w] == -1:
-                        comp[w] = ncomp
-                        queue.append(w)
-            ncomp += 1
+        # nodes are sorted by size, so R_k is the prefix of R_kmax's nodes
+        # of size <= k and its rows keep the neighbours inside that prefix
+        m = sum(1 for mask in full_rg.nodes if mask.bit_count() <= k)
+        adj = tuple(tuple(w for w in row if w < m) for row in full_rg.adj[:m])
+        comp, ncomp = _label_components(adj)
         sub = ReconfigGraph(
             graph_n=g.n,
             k=k,
-            nodes=nodes,
+            nodes=full_rg.nodes[:m],
             adj=adj,
-            comp=tuple(comp),
+            comp=comp,
             num_components=ncomp,
         )
+        # one all-pairs BFS per record: when R_k is connected its diameter
+        # is the largest component diameter
+        widest = max_component_diameter(sub)
+        connected = is_connected(sub)
         records.append(
             ThresholdRecord(
                 k=k,
                 num_nodes=sub.num_nodes,
                 num_edges=sub.num_edges,
                 num_components=ncomp,
-                connected=is_connected(sub),
-                diameter=diameter(sub),
-                max_component_diameter=max_component_diameter(sub),
+                connected=connected,
+                diameter=widest if connected else math.inf,
+                max_component_diameter=widest,
             )
         )
     for earlier, later in zip(records, records[1:]):

@@ -17,9 +17,10 @@ from .graphs import (
     Graph,
     exact_invariants,
     is_dominating,
+    mask_of,
     pop_removable,
-    reduce_to_minimal,
 )
+from .minor_sparse import pad_to_size
 from .sequences import Move, ReconfigSequence, reverse_sequence
 
 
@@ -234,7 +235,8 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
             parents.append(None)
         else:
             later = [position[o] for o in adjacency[old] if position[o] > new]
-            assert len(later) == 1, "leaf removal leaves exactly one parent"
+            if len(later) != 1:
+                raise SweepError(f"bag {old + 1} has {len(later)} later neighbours")
             parents.append(later[0])
     return NormalizedTD(
         n=td.n,
@@ -315,12 +317,13 @@ def tw_step(
     a_out = frozenset(v for v in bag & d_j if v not in target and v in left)
     b_bag = frozenset(v for v in bag if v not in left)
     c_in = frozenset(v for v in target - d_j if v in left)
-    b1 = frozenset(v for v in b_bag - target if g.adj_mask[v] & _mask(c_in))
+    b1 = frozenset(v for v in b_bag - target if g.adj_mask[v] & mask_of(c_in))
     b2 = b_bag & d_j
     b3 = b_bag - b1 - b2
 
     additions = c_in | b3
-    assert not additions & d_j, "additions must be absent from the working set"
+    if additions & d_j:
+        raise SweepError(f"additions at bag {j} are already in the working set")
     peak = d_j | additions
     if len(peak) > gamma_upper + tw + 1:
         raise SweepError(
@@ -386,32 +389,6 @@ def final_merge(
     )
 
 
-def _mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _reduce_to_at_most(g, s, bound, k) -> tuple[ReconfigSequence, frozenset[int]]:
-    # replay the greedy minimalization order, stopping once within bound
-    _, removals = reduce_to_minimal(g, s)
-    need = max(0, len(s) - bound)
-    if need > len(removals):
-        raise ValueError(
-            f"cannot reduce a set of size {len(s)} to {bound}: greedy"
-            f" minimalization stops at size {len(s) - len(removals)};"
-            " is gamma_upper the true upper domination number?"
-        )
-    kept = set(s)
-    for v in removals[:need]:
-        kept.remove(v)
-    seq = ReconfigSequence(
-        frozenset(s), tuple(Move.remove(v) for v in removals[:need]), k
-    )
-    return seq, frozenset(kept)
-
-
 def _domination_number(g: Graph) -> int:
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
@@ -420,7 +397,7 @@ def _domination_number(g: Graph) -> int:
                 cov |= g.nb_mask[v]
             if cov == g.full_mask:
                 return size
-    raise AssertionError("the full vertex set always dominates")
+    raise RuntimeError("the full vertex set always dominates")
 
 
 def treewidth_transform(
@@ -480,7 +457,8 @@ def treewidth_transform(
             raise ValueError(f"{name} has size {len(s)} > k = {k}")
 
     def sweep(start) -> ReconfigSequence:
-        head, current = _reduce_to_at_most(g, start, gamma_upper, k)
+        head = pad_to_size(g, start, min(len(start), gamma_upper), k)
+        current = head.end
         moves: list[Move] = []
         for j in range(ntd.num_bags - 1):
             step_moves, current = tw_step(g, ntd, j, current, target, gamma_upper)
@@ -495,7 +473,8 @@ def treewidth_transform(
     forward = sweep(ds)
     backward = sweep(dt)
     total = forward + reverse_sequence(backward)
-    assert len(total.moves) <= 4 * (g.n + 1) * (tw + 1)
+    if len(total.moves) > 4 * (g.n + 1) * (tw + 1):
+        raise SweepError(f"{len(total.moves)} moves exceed the 4 (n+1) (tw+1) bound")
     return total
 
 

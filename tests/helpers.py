@@ -14,7 +14,6 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from domrecon import Graph
-from domrecon.graphs import is_minimal_dominating
 from domrecon.treewidth import TreeDecomposition
 
 
@@ -78,13 +77,72 @@ def connected_order_8(seven_vertex: list[Graph]) -> list[Graph]:
     return result
 
 
+def _dominates(g: Graph, s) -> bool:
+    cov = 0
+    for v in s:
+        cov |= g.nb_mask[v]
+    return cov == g.full_mask
+
+
+def _rest_dominates(g: Graph, s, v) -> bool:
+    rest = 0
+    for u in s:
+        if u != v:
+            rest |= g.nb_mask[u]
+    return rest == g.full_mask
+
+
+def naive_is_minimal_dominating(g: Graph, s) -> bool:
+    """Dominating, and dropping any one member leaves a non-dominating set."""
+    return _dominates(g, s) and not any(_rest_dominates(g, s, v) for v in s)
+
+
+def naive_reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
+    """Drop the lowest droppable id, rescan from the start, until none is left."""
+    if not _dominates(g, s):
+        raise ValueError("input set is not dominating")
+    current = set(s)
+    removals: list[int] = []
+    while True:
+        for v in sorted(current):
+            if _rest_dominates(g, current, v):
+                current.remove(v)
+                removals.append(v)
+                break
+        else:
+            return frozenset(current), removals
+
+
+def naive_pop_removable(g: Graph, current: set[int], prefer_outside) -> int:
+    """First droppable member, those outside prefer_outside first, by id."""
+    for v in sorted(current, key=lambda v: (v in prefer_outside, v)):
+        if _rest_dominates(g, current, v):
+            current.remove(v)
+            return v
+    raise ValueError("no removable vertex")
+
+
+def naive_find_swap_pair(g: Graph, d1, d2):
+    """First (u, v) in ascending pair order with (d1 - {u}) | {v} dominating."""
+    for u in sorted(d1):
+        for v in sorted(d2):
+            if _dominates(g, (set(d1) - {u}) | {v}):
+                return u, v
+    return None
+
+
+def all_dominating_sets(g: Graph) -> list[frozenset[int]]:
+    """Every dominating set, by size and then lexicographically."""
+    return [
+        frozenset(combo)
+        for size in range(1, g.n + 1)
+        for combo in itertools.combinations(range(g.n), size)
+        if _dominates(g, combo)
+    ]
+
+
 def all_minimal_dominating_sets(g: Graph) -> list[frozenset[int]]:
-    out = []
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            if is_minimal_dominating(g, combo):
-                out.append(frozenset(combo))
-    return out
+    return [s for s in all_dominating_sets(g) if naive_is_minimal_dominating(g, s)]
 
 
 def _solve_binary(c, constraints) -> tuple[int, np.ndarray]:

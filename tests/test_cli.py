@@ -161,6 +161,24 @@ class TestTransform:
         assert "c k 4 (Gamma 3 + d 2 - 1)" in out
         assert "c length 6 (bound 10)" in out
 
+    def test_minor_sparse_honours_limit(self, capsys, tmp_path):
+        # d > Gamma falls back to the general transform, whose exact
+        # invariants must respect --limit like every other brute force
+        f = tmp_path / "p10.gr"
+        code, _, _ = run(
+            capsys, "gen", "--family", "path", "--param", "10", "-o", str(f)
+        )
+        assert code == 0
+        code, _, err = run(capsys, "stats", str(f), "--limit", "5")
+        assert code == 3
+        code, _, err = run(
+            capsys, "transform", str(f), "--from", "2,5,8,10", "--to", "1,4,7,10",
+            "--method", "minor-sparse", "--d", "6", "--gamma-upper", "4",
+            "--limit", "5",
+        )
+        assert code == 3
+        assert "limit:" in err
+
     def test_planar_shortcut_conflicts_with_d(self, capsys, p3):
         code, _, err = run(
             capsys, "transform", p3, "--from", "1,3", "--to", "2",

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+import helpers
 from domrecon.general import (
     UnreachableError,
+    _find_swap_pair,
     common_vertex_path,
     general_transform,
     is_ds_to_is_path,
@@ -80,6 +82,19 @@ class TestCommonVertexPath:
     def test_requires_common_vertex(self):
         with pytest.raises(ValueError, match="share a vertex"):
             common_vertex_path(path(5), {1, 3}, {0, 2, 4}, 5)
+
+
+class TestFindSwapPair:
+    def test_matches_naive_on_small_connected_graphs(self, atlas_connected):
+        # every ordered pair of minimal dominating sets, overlapping or not
+        for n in range(1, 7):
+            for g in atlas_connected[n]:
+                minimal = helpers.all_minimal_dominating_sets(g)
+                for d1 in minimal:
+                    for d2 in minimal:
+                        assert _find_swap_pair(g, d1, d2) == (
+                            helpers.naive_find_swap_pair(g, d1, d2)
+                        )
 
 
 class TestGeneralTransform:

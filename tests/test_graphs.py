@@ -7,6 +7,7 @@ from domrecon.graphs import (
     Graph,
     GraphFormatError,
     LimitError,
+    coverage,
     exact_invariants,
     format_graph,
     format_vertex_list,
@@ -184,6 +185,47 @@ class TestDomination:
         g = path(4)
         with pytest.raises(ValueError, match="no removable vertex"):
             pop_removable(g, {1, 3}, prefer_outside=set())
+
+
+class TestCoverage:
+    def test_path(self):
+        g = path(4)
+        once, twice = coverage(g, {0, 1, 3})
+        assert once == g.full_mask
+        assert twice == mask_of({0, 1, 2})
+        # private sets: 0 has none, 1 has none, 3 keeps {3}
+        assert [g.nb_mask[v] & ~twice for v in (0, 1, 3)] == [0, 0, mask_of({3})]
+
+
+class TestAgainstNaive:
+    """The coverage-based checks agree with the O(|S|^2) loops on n <= 6."""
+
+    def test_every_dominating_set(self, atlas_connected):
+        for n in range(1, 7):
+            for g in atlas_connected[n]:
+                for s in helpers.all_dominating_sets(g):
+                    minimal = helpers.naive_is_minimal_dominating(g, s)
+                    assert is_minimal_dominating(g, s) == minimal
+                    reduced = helpers.naive_reduce_to_minimal(g, s)
+                    assert reduce_to_minimal(g, s) == reduced
+                    low = set(sorted(s)[: len(s) // 2])
+                    for prefer in (set(), set(s), low):
+                        fast, slow = set(s), set(s)
+                        try:
+                            want = helpers.naive_pop_removable(g, slow, prefer)
+                        except ValueError:
+                            with pytest.raises(ValueError):
+                                pop_removable(g, fast, prefer)
+                        else:
+                            assert pop_removable(g, fast, prefer) == want
+                        assert fast == slow
+
+    def test_every_subset_on_five_vertices(self, atlas_connected):
+        for g in atlas_connected[5]:
+            for size in range(g.n + 1):
+                for combo in itertools.combinations(range(g.n), size):
+                    minimal = helpers.naive_is_minimal_dominating(g, combo)
+                    assert is_minimal_dominating(g, combo) == minimal
 
 
 class TestGreedyMaximalIS:

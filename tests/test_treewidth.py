@@ -290,7 +290,7 @@ class TestTransform:
 
     def test_gamma_too_small(self):
         g = path(6)
-        with pytest.raises(ValueError, match="cannot reduce"):
+        with pytest.raises(ValueError, match="cannot shrink"):
             treewidth_transform(g, path_td(6), {0, 2, 4}, {1, 4}, gamma_upper=1)
 
 
