@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -345,6 +346,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+# built once per process: parse_args fills a fresh Namespace on every call,
+# so no option value outlives its call
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="domrecon",

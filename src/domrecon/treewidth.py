@@ -9,9 +9,11 @@ that is the sweep invariant checked at every step.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     Graph,
@@ -19,6 +21,7 @@ from .graphs import (
     is_dominating,
     mask_of,
     pop_removable,
+    set_of,
 )
 from .minor_sparse import pad_to_size
 from .sequences import Move, ReconfigSequence, reverse_sequence
@@ -96,25 +99,27 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDValidationReport:
         violations.append("bag tree is disconnected")
     if not 0 <= td.root < b:
         violations.append(f"root index {td.root} out of range")
+    # holders[v]: the bags holding v, in ascending order
+    holders: list[list[int]] = [[] for _ in range(g.n)]
     for idx, bag in enumerate(td.bags):
         for v in bag:
-            if not 0 <= v < g.n:
+            if 0 <= v < g.n:
+                holders[v].append(idx)
+            else:
                 violations.append(f"bag {idx} contains out-of-range vertex {v}")
-    covered = set()
-    for bag in td.bags:
-        covered |= bag
     for v in range(g.n):
-        if v not in covered:
+        if not holders[v]:
             violations.append(f"vertex {v + 1} appears in no bag")
+    holder_sets = [set(h) for h in holders]
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags):
+        # set.isdisjoint walks the smaller of two sets
+        if holder_sets[u].isdisjoint(holder_sets[v]):
             violations.append(f"edge ({u + 1},{v + 1}) is inside no bag")
     if not violations:
         for v in range(g.n):
-            holders = [i for i, bag in enumerate(td.bags) if v in bag]
-            reached = {holders[0]}
-            stack = [holders[0]]
-            holder_set = set(holders)
+            holder_set = holder_sets[v]
+            reached = {holders[v][0]}
+            stack = [holders[v][0]]
             while stack:
                 u = stack.pop()
                 for w in adjacency[u]:
@@ -132,13 +137,21 @@ class NormalizedTD:
 
     The root is the last bag; parent[i] is the tree parent's index (always
     larger than i) or None for the root. No bag contains an adjacent bag.
+
+    Three values the sweep reads at every bag are computed once, on first
+    use, and cached on the instance: `width`, `tops` (tops[v] is the
+    highest index of a bag holding v, -1 if none) and `left_masks`.
+    left_masks[j] has bit v set iff bag tops[v] lies in j's subtree (for a
+    valid decomposition: iff v is held only by bags of that subtree). It
+    is built leaves first by the rule left[j] = (bits of v with
+    tops[v] == j) | OR of left[c] over the children c of j.
     """
 
     n: int
     bags: tuple[frozenset[int], ...]
     parent: tuple[int | None, ...]
 
-    @property
+    @cached_property
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
@@ -146,13 +159,30 @@ class NormalizedTD:
     def num_bags(self) -> int:
         return len(self.bags)
 
-    def vertex_tops(self) -> list[int]:
-        """Highest elimination index of a bag holding each vertex (-1 if none)."""
+    @cached_property
+    def tops(self) -> tuple[int, ...]:
         tops = [-1] * self.n
+        # bags come in ascending index order, so the last write is the highest
         for idx, bag in enumerate(self.bags):
             for v in bag:
-                tops[v] = max(tops[v], idx)
-        return tops
+                tops[v] = idx
+        return tuple(tops)
+
+    @cached_property
+    def left_masks(self) -> tuple[int, ...]:
+        left = [0] * len(self.bags)
+        for v, top in enumerate(self.tops):
+            if top >= 0:
+                left[top] |= 1 << v
+        # every child precedes its parent, so left[c] is final when c is reached
+        for c, p in enumerate(self.parent):
+            if p is not None:
+                left[p] |= left[c]
+        return tuple(left)
+
+    def vertex_tops(self) -> list[int]:
+        """Highest elimination index of a bag holding each vertex (-1 if none)."""
+        return list(self.tops)
 
     def is_descendant(self, i: int, j: int) -> bool:
         """Whether bag i lies in the subtree rooted at bag j (i == j counts)."""
@@ -217,14 +247,22 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
 
     remaining = {i for i in range(b) if alive[i]}
     degree = {i: len(adjacency[i]) for i in remaining}
+    # eligible leaves, lowest index first; a degree only falls, so a bag
+    # joins the heap once, when its degree first reaches 1
+    leaves = [i for i in remaining if degree[i] <= 1 and i != root_idx]
+    heapq.heapify(leaves)
     order: list[int] = []
     while len(remaining) > 1:
-        leaf = min(i for i in remaining if degree[i] <= 1 and i != root_idx)
+        if not leaves:
+            raise ValueError("the bag tree has a cycle or is disconnected")
+        leaf = heapq.heappop(leaves)
         order.append(leaf)
         remaining.discard(leaf)
         for other in adjacency[leaf]:
             if other in remaining:
                 degree[other] -= 1
+                if degree[other] == 1 and other != root_idx:
+                    heapq.heappush(leaves, other)
         degree.pop(leaf)
     order.append(root_idx)
 
@@ -255,11 +293,8 @@ def classify_left(
     """
     if not 0 <= j < ntd.num_bags:
         raise ValueError(f"bag index {j} out of range")
-    tops = ntd.vertex_tops()
-    left = frozenset(
-        v for v in range(ntd.n) if tops[v] >= 0 and ntd.is_descendant(tops[v], j)
-    )
-    universe = frozenset(v for v in range(ntd.n) if tops[v] >= 0)
+    left = set_of(ntd.left_masks[j])
+    universe = frozenset(v for v, top in enumerate(ntd.tops) if top >= 0)
     right = universe - left
     if g is not None:
         bag = ntd.bags[j]
@@ -273,13 +308,14 @@ def classify_left(
     return left, right
 
 
-def _check_property(g, ntd, j, d_j, target, gamma_upper, tops):
+def _check_property(g, ntd, j, d_j, target, gamma_upper):
     if not is_dominating(g, d_j):
         raise SweepError(f"working set at bag {j} is not dominating")
     if len(d_j) > gamma_upper:
         raise SweepError(
             f"working set at bag {j} has size {len(d_j)} > Gamma = {gamma_upper}"
         )
+    tops = ntd.tops
     retired = {v for v in d_j if tops[v] < j}
     if not retired <= target:
         raise SweepError(
@@ -309,15 +345,15 @@ def tw_step(
     if not 0 <= j < ntd.num_bags - 1:
         raise ValueError(f"tw_step applies to bags 0..{ntd.num_bags - 2}, got {j}")
     tw = ntd.width
-    tops = ntd.vertex_tops()
-    _check_property(g, ntd, j, d_j, target, gamma_upper, tops)
-    left, _right = classify_left(ntd, j)
+    _check_property(g, ntd, j, d_j, target, gamma_upper)
+    left = ntd.left_masks[j]
     bag = ntd.bags[j]
 
-    a_out = frozenset(v for v in bag & d_j if v not in target and v in left)
-    b_bag = frozenset(v for v in bag if v not in left)
-    c_in = frozenset(v for v in target - d_j if v in left)
-    b1 = frozenset(v for v in b_bag - target if g.adj_mask[v] & mask_of(c_in))
+    a_out = frozenset(v for v in bag & d_j if v not in target and left >> v & 1)
+    b_bag = frozenset(v for v in bag if not left >> v & 1)
+    c_in = frozenset(v for v in target - d_j if left >> v & 1)
+    c_mask = mask_of(c_in)
+    b1 = frozenset(v for v in b_bag - target if g.adj_mask[v] & c_mask)
     b2 = b_bag & d_j
     b3 = b_bag - b1 - b2
 
@@ -346,7 +382,7 @@ def tw_step(
             f"bag {j} needed {len(moves)} moves, above the 2 (tw + 1) budget"
         )
     d_next = frozenset(current)
-    _check_property(g, ntd, j + 1, d_next, target, gamma_upper, tops)
+    _check_property(g, ntd, j + 1, d_next, target, gamma_upper)
     return tuple(moves), d_next
 
 
@@ -365,9 +401,8 @@ def final_merge(
     """
     d_b, target = frozenset(d_b), frozenset(target)
     tw = ntd.width
-    tops = ntd.vertex_tops()
     root = ntd.num_bags - 1
-    _check_property(g, ntd, root, d_b, target, gamma_upper, tops)
+    _check_property(g, ntd, root, d_b, target, gamma_upper)
     surplus = d_b - target
     missing = target - d_b
     if not surplus <= ntd.bags[root]:

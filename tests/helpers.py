@@ -145,6 +145,144 @@ def all_minimal_dominating_sets(g: Graph) -> list[frozenset[int]]:
     return [s for s in all_dominating_sets(g) if naive_is_minimal_dominating(g, s)]
 
 
+def naive_validate_td(g: Graph, td: TreeDecomposition) -> tuple[bool, tuple[str, ...], int]:
+    """validate_td as a scan of every bag per vertex and per edge: O(n b)."""
+    violations: list[str] = []
+    b = len(td.bags)
+    if b < 1:
+        return False, ("decomposition has no bags",), -1
+    adjacency: list[set[int]] = [set() for _ in range(b)]
+    for i, j in td.tree_edges:
+        if not (0 <= i < b and 0 <= j < b) or i == j:
+            violations.append(f"tree edge ({i},{j}) is not a pair of distinct bags")
+            continue
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    if len(td.tree_edges) != b - 1:
+        violations.append(
+            f"{len(td.tree_edges)} tree edges for {b} bags (need {b - 1})"
+        )
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != b:
+        violations.append("bag tree is disconnected")
+    if not 0 <= td.root < b:
+        violations.append(f"root index {td.root} out of range")
+    for idx, bag in enumerate(td.bags):
+        for v in bag:
+            if not 0 <= v < g.n:
+                violations.append(f"bag {idx} contains out-of-range vertex {v}")
+    covered = set()
+    for bag in td.bags:
+        covered |= bag
+    for v in range(g.n):
+        if v not in covered:
+            violations.append(f"vertex {v + 1} appears in no bag")
+    for u, v in g.edges():
+        if not any(u in bag and v in bag for bag in td.bags):
+            violations.append(f"edge ({u + 1},{v + 1}) is inside no bag")
+    if not violations:
+        for v in range(g.n):
+            holders = [i for i, bag in enumerate(td.bags) if v in bag]
+            reached = {holders[0]}
+            stack = [holders[0]]
+            while stack:
+                u = stack.pop()
+                for w in adjacency[u]:
+                    if w in holders and w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            if reached != set(holders):
+                violations.append(f"bags containing vertex {v + 1} are not connected")
+    width = max(len(bag) for bag in td.bags) - 1
+    return not violations, tuple(violations), width
+
+
+def naive_normalize_td(td: TreeDecomposition, root: int | None = None):
+    """(bags, parent) of normalize_td, taking each leaf by a min-scan of all bags."""
+    b = len(td.bags)
+    bags = list(td.bags)
+    adjacency: list[set[int]] = [set() for _ in range(b)]
+    for i, j in td.tree_edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    representative = list(range(b))
+    alive = [True] * b
+    merged = True
+    while merged:
+        merged = False
+        for i in sorted(a for a in range(b) if alive[a]):
+            for j in sorted(adjacency[i]):
+                if bags[i] <= bags[j]:
+                    drop, keep = i, j
+                elif bags[j] <= bags[i]:
+                    drop, keep = j, i
+                else:
+                    continue
+                adjacency[keep].discard(drop)
+                for other in adjacency[drop]:
+                    if other != keep:
+                        adjacency[other].discard(drop)
+                        adjacency[other].add(keep)
+                        adjacency[keep].add(other)
+                adjacency[drop] = set()
+                alive[drop] = False
+                representative[drop] = keep
+                merged = True
+                break
+            if merged:
+                break
+    root_idx = td.root if root is None else root
+    while representative[root_idx] != root_idx:
+        root_idx = representative[root_idx]
+    remaining = {i for i in range(b) if alive[i]}
+    degree = {i: len(adjacency[i]) for i in remaining}
+    order: list[int] = []
+    while len(remaining) > 1:
+        leaf = min(i for i in remaining if degree[i] <= 1 and i != root_idx)
+        order.append(leaf)
+        remaining.discard(leaf)
+        for other in adjacency[leaf]:
+            if other in remaining:
+                degree[other] -= 1
+    order.append(root_idx)
+    position = {old: new for new, old in enumerate(order)}
+    parents = []
+    for new, old in enumerate(order):
+        later = [position[o] for o in adjacency[old] if position[o] > new]
+        parents.append(None if old == root_idx else later[0])
+    return tuple(bags[old] for old in order), tuple(parents)
+
+
+def naive_vertex_tops(ntd) -> list[int]:
+    """Highest index of a bag holding each vertex, -1 if none."""
+    tops = [-1] * ntd.n
+    for idx, bag in enumerate(ntd.bags):
+        for v in bag:
+            tops[v] = max(tops[v], idx)
+    return tops
+
+
+def naive_classify_left(ntd, j: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Left: vertices whose top bag reaches bag j by a walk up the parents."""
+
+    def below(i):
+        while i is not None and i < j:
+            i = ntd.parent[i]
+        return i == j
+
+    tops = naive_vertex_tops(ntd)
+    universe = frozenset(v for v in range(ntd.n) if tops[v] >= 0)
+    left = frozenset(v for v in universe if below(tops[v]))
+    return left, universe - left
+
+
 def _solve_binary(c, constraints) -> tuple[int, np.ndarray]:
     n = len(c)
     res = milp(

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from domrecon.cli import main
+from domrecon.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -399,3 +399,56 @@ class TestOracle:
         with pytest.raises(SystemExit) as info:
             main(["oracle", p3, "--k", "2", "--scan", "3"])
         assert info.value.code == 1
+
+
+class TestRepeatedCalls:
+    """main() reuses one parser per process; no option outlives its call."""
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_planar_then_d(self, capsys, tmp_path):
+        f = tmp_path / "p6.gr"
+        f.write_text("p ds 6 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\n")
+        common = ("transform", str(f), "--from", "1,3,5", "--to", "2,4,6",
+                  "--method", "minor-sparse")
+        code, out, _ = run(capsys, *common, "--planar")
+        assert code == 0
+        assert "c k 6 (Gamma 3 + d 4 - 1)" in out
+        # a leftover --planar would make this call ambiguous
+        code, out, err = run(capsys, *common, "--d", "2")
+        assert (code, err) == (0, "")
+        assert "c k 4 (Gamma 3 + d 2 - 1)" in out
+
+    def test_k_then_scan_then_k(self, capsys, p3):
+        code, out, _ = run(capsys, "oracle", p3, "--k", "3", "--frozen")
+        assert code == 0
+        assert out.startswith("k 3\nnodes 5\n")
+        code, out, _ = run(capsys, "oracle", p3, "--scan", "3")
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "gamma 1", "gamma-upper 2", "k nodes edges components connected diameter"
+        ]
+        # neither a leftover --scan nor a leftover --frozen may show here
+        code, out, _ = run(capsys, "oracle", p3, "--k", "2")
+        assert code == 0
+        assert out == "k 2\nnodes 4\nedges 2\ncomponents 2\nconnected false\n"
+
+    def test_usage_error_then_valid_call(self, capsys, p3):
+        with pytest.raises(SystemExit) as info:
+            main(["transform", p3, "--from", "1,3", "--to", "2", "--method", "bogus"])
+        assert info.value.code == 1
+        capsys.readouterr()
+        code, out, _ = run(
+            capsys, "transform", p3, "--from", "1,3", "--to", "2",
+            "--method", "general",
+        )
+        assert code == 0
+        assert out.startswith("c transform --method general\nc k 3 ")
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--family", "bogus"])
+        assert info.value.code == 1
+        capsys.readouterr()
+        code, out, _ = run(capsys, "gen", "--family", "star", "--param", "3")
+        assert code == 0
+        assert out == "c gen star 3\np ds 4 3\ne 1 2\ne 1 3\ne 1 4\n"

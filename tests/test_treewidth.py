@@ -1,11 +1,22 @@
+import functools
+import random
+from collections import Counter
+
 import pytest
 
 import helpers
-from domrecon.graphs import Graph, greedy_maximal_is
-from domrecon.instances import gen_mynhardt, gen_mynhardt_td, gen_random_tree
+from domrecon import treewidth
+from domrecon.graphs import Graph, greedy_maximal_is, set_of
+from domrecon.instances import (
+    gen_mynhardt,
+    gen_mynhardt_pd,
+    gen_mynhardt_td,
+    gen_random_tree,
+)
 from domrecon.sequences import Move, verify_sequence
 from domrecon.treewidth import (
     DecompositionError,
+    NormalizedTD,
     SweepError,
     TreeDecomposition,
     classify_left,
@@ -144,6 +155,158 @@ class TestNormalize:
         assert ntd.is_descendant(0, 0)
         assert ntd.is_descendant(0, 2)
         assert not ntd.is_descendant(1, 0)
+
+
+def reference_cases():
+    """(graph, decomposition) pairs the cached structures are checked on."""
+    cases = [(path(n), path_td(n)) for n in (2, 3, 4, 9)]
+    for ell in (3, 4, 5):
+        g = gen_mynhardt(ell)
+        cases += [(g, gen_mynhardt_td(ell)), (g, gen_mynhardt_pd(ell))]
+    for n in (2, 3, 5, 8, 13, 21, 34, 60):
+        for seed in range(3):
+            g = gen_random_tree(n, seed=seed)
+            cases.append((g, helpers.tree_natural_decomposition(g)))
+    return cases
+
+
+REFERENCE_CASES = reference_cases()
+
+
+class TestCachedStructures:
+    """Tops, width, left sets and leaf order against the naive versions."""
+
+    def check(self, g, td, root):
+        ntd = normalize_td(td, root=root)
+        bags, parents = helpers.naive_normalize_td(td, root=root)
+        assert (ntd.bags, ntd.parent) == (bags, parents)
+        tops = helpers.naive_vertex_tops(ntd)
+        assert ntd.vertex_tops() == tops
+        assert ntd.tops == tuple(tops)
+        assert ntd.width == max(len(bag) for bag in bags) - 1
+        for j in range(ntd.num_bags):
+            left, right = helpers.naive_classify_left(ntd, j)
+            assert set_of(ntd.left_masks[j]) == left
+            assert classify_left(ntd, j, g=g) == (left, right)
+
+    @pytest.mark.parametrize("index", range(len(REFERENCE_CASES)))
+    def test_against_naive(self, index):
+        g, td = REFERENCE_CASES[index]
+        rng = random.Random(index)
+        roots = {None, 0, td.num_bags - 1, rng.randrange(td.num_bags)}
+        for root in roots:
+            self.check(g, td, root)
+
+    def test_nested_bags_merged(self, atlas_connected):
+        # optimal elimination-order decompositions nest adjacent bags
+        for n in (5, 6):
+            for g in atlas_connected[n][::7]:
+                td = helpers.exact_tree_decomposition(g)
+                for root in {None, 0, td.num_bags // 2}:
+                    self.check(g, td, root)
+
+    def test_vertex_tops_returns_a_fresh_list(self):
+        ntd = normalize_td(path_td(4))
+        tops = ntd.vertex_tops()
+        tops[0] = 99
+        assert ntd.vertex_tops() == [0, 1, 2, 2]
+
+
+class TestValidateAgainstNaive:
+    @pytest.mark.parametrize(
+        "g,td,kind",
+        [
+            (
+                path(3),
+                TreeDecomposition(3, (frozenset({0, 1}), frozenset({1, 7})), ((0, 1),)),
+                "out-of-range vertex 7",
+            ),
+            (
+                path(4),
+                TreeDecomposition(4, (frozenset({0, 1}), frozenset({1, 2})), ((0, 1),)),
+                "vertex 4 appears in no bag",
+            ),
+            (
+                path(3),
+                TreeDecomposition(3, (frozenset({0, 1}), frozenset({2})), ((0, 1),)),
+                "edge (2,3) is inside no bag",
+            ),
+            (
+                path(3),
+                TreeDecomposition(
+                    3,
+                    (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
+                    ((0, 1), (1, 2)),
+                ),
+                "vertex 1 are not connected",
+            ),
+            (
+                path(3),
+                TreeDecomposition(
+                    3, (frozenset({0, 1}), frozenset({1, 2})), ((0, 5),), root=9
+                ),
+                "not a pair of distinct bags",
+            ),
+            (
+                path(6),
+                TreeDecomposition(
+                    6,
+                    (frozenset({0, 9}), frozenset({1, 8, 2}), frozenset({4})),
+                    ((0, 1), (1, 1)),
+                ),
+                "edge (1,2) is inside no bag",
+            ),
+            (path(2), TreeDecomposition(2, (), ()), "decomposition has no bags"),
+        ],
+    )
+    def test_violation_kinds(self, g, td, kind):
+        report = validate_td(g, td)
+        assert any(kind in v for v in report.violations)
+        assert (report.valid, report.violations, report.width) == (
+            helpers.naive_validate_td(g, td)
+        )
+
+    @pytest.mark.parametrize("g,td", REFERENCE_CASES)
+    def test_valid_decompositions(self, g, td):
+        report = validate_td(g, td)
+        assert report.valid
+        assert (report.valid, report.violations, report.width) == (
+            helpers.naive_validate_td(g, td)
+        )
+
+
+class TestSweepReadsCachedStructures:
+    def test_no_descendant_walk_and_one_build_per_decomposition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep walked the bag tree per vertex")
+
+        monkeypatch.setattr(NormalizedTD, "is_descendant", forbidden)
+        monkeypatch.setattr(treewidth, "classify_left", forbidden)
+        builds = Counter()
+        for name in ("tops", "left_masks"):
+            cached = NormalizedTD.__dict__[name]
+            assert isinstance(cached, functools.cached_property)
+            compute = cached.func
+
+            def counted(self, compute=compute, name=name):
+                builds[name] += 1
+                return compute(self)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(NormalizedTD, name)
+            monkeypatch.setattr(NormalizedTD, name, prop)
+
+        g = gen_random_tree(300, seed=3)
+        td = helpers.tree_natural_decomposition(g)
+        _, min_ds = helpers.milp_gamma(g)
+        gamma_upper = helpers.milp_gamma_upper(g)
+        ds = greedy_maximal_is(g)
+        with pytest.warns(UserWarning, match="trusting"):
+            seq = treewidth_transform(g, td, ds, min_ds, gamma_upper, min_ds=min_ds)
+        report = verify_sequence(g, seq, expected_end=min_ds)
+        assert report.valid and report.end_matches
+        # one normalized decomposition per transform, each structure built once
+        assert builds == {"tops": 1, "left_masks": 1}
 
 
 class TestClassifyLeft:
