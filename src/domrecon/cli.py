@@ -176,19 +176,10 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _reject_flags(args, method: str, allowed: set[str]):
-    given = {
-        "--k": args.k is not None,
-        "--d": args.d is not None,
-        "--planar": args.planar,
-        "--td": args.td is not None,
-        "--root": args.root is not None,
-        "--min-ds": args.min_ds is not None,
-        "--gamma-upper": args.gamma_upper is not None,
-    }
+def _reject_flags(given: dict[str, bool], allowed: set[str], context: str):
     for flag, present in given.items():
         if present and flag not in allowed:
-            raise ValueError(f"{flag} does not apply to method {method}")
+            raise ValueError(f"{flag} does not apply to {context}")
 
 
 def cmd_transform(args) -> int:
@@ -201,9 +192,18 @@ def cmd_transform(args) -> int:
     comments = [f"transform --method {args.method}"]
     if not is_connected(g):
         comments.append("warning: input graph is disconnected")
+    given = {
+        "--k": args.k is not None,
+        "--d": args.d is not None,
+        "--planar": args.planar,
+        "--td": args.td is not None,
+        "--root": args.root is not None,
+        "--min-ds": args.min_ds is not None,
+        "--gamma-upper": args.gamma_upper is not None,
+    }
 
     if args.method == "general":
-        _reject_flags(args, "general", {"--k"})
+        _reject_flags(given, {"--k"}, "method general")
         inv = exact_invariants(g, limit=limit)
         seq = general_transform(g, ds, dt, inv, k=args.k)
         bound = 10 * g.n
@@ -212,7 +212,7 @@ def cmd_transform(args) -> int:
             + (" <= override)" if args.k is not None else ")")
         )
     elif args.method == "minor-sparse":
-        _reject_flags(args, "minor-sparse", {"--d", "--planar", "--gamma-upper"})
+        _reject_flags(given, {"--d", "--planar", "--gamma-upper"}, "method minor-sparse")
         if args.planar and args.d is not None:
             raise ValueError("--planar fixes d = 4; passing --d too is ambiguous")
         if not args.planar and args.d is None:
@@ -225,7 +225,9 @@ def cmd_transform(args) -> int:
         bound = 2 * gamma_upper * (d - 1) + 2 * (gamma_upper - 1)
         comments.append(f"k {seq.k} (Gamma {gamma_upper} + d {d} - 1)")
     else:
-        _reject_flags(args, "treewidth", {"--td", "--root", "--min-ds", "--gamma-upper"})
+        _reject_flags(
+            given, {"--td", "--root", "--min-ds", "--gamma-upper"}, "method treewidth"
+        )
         if args.td is None:
             raise ValueError("method treewidth needs --td FILE")
         td = parse_td(_read(args.td))
@@ -286,6 +288,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    given = {
+        "--distance": args.distance is not None,
+        "--frozen": args.frozen,
+        "--diameter": args.diameter,
+        "--csv": args.csv,
+    }
+    if args.scan is not None:
+        _reject_flags(given, {"--csv"}, "--scan")
+    else:
+        _reject_flags(given, {"--distance", "--frozen", "--diameter"}, "--k")
     g = parse_graph(_read(args.graph))
     limit = _limit(args, oracle.DEFAULT_VERTEX_LIMIT)
     if args.scan is not None:

@@ -17,7 +17,13 @@ from .graphs import (
     mask_of,
     reduce_to_minimal,
 )
-from .sequences import Move, ReconfigSequence, reverse_sequence
+from .sequences import (
+    Move,
+    ReconfigSequence,
+    add_then_remove,
+    check_endpoints,
+    reverse_sequence,
+)
 
 
 class UnreachableError(RuntimeError):
@@ -51,10 +57,7 @@ def is_ds_to_is_path(g: Graph, d, s, k: int) -> ReconfigSequence:
         raise ValueError(
             f"budget violated: |d|+|s|-1 = {len(d) + len(s) - 1} exceeds k = {k}"
         )
-    moves = tuple(Move.add(v) for v in sorted(s - d)) + tuple(
-        Move.remove(v) for v in sorted(d - s)
-    )
-    return ReconfigSequence(d, moves, k)
+    return ReconfigSequence(d, add_then_remove(s - d, d - s), k)
 
 
 def common_vertex_path(g: Graph, d1, d2, k: int) -> ReconfigSequence:
@@ -128,11 +131,7 @@ def general_transform(
         k = base
     elif k < base:
         raise ValueError(f"k = {k} is below Gamma + alpha - 1 = {base}")
-    for name, s in (("ds", ds), ("dt", dt)):
-        if not is_dominating(g, s):
-            raise ValueError(f"{name} is not a dominating set")
-        if len(s) > k:
-            raise ValueError(f"{name} has size {len(s)} > k = {k}")
+    check_endpoints(g, ds, dt, k)
 
     prefix, d1 = _reduction_prefix(g, ds, k)
     suffix, d2 = _reduction_prefix(g, dt, k)
@@ -147,8 +146,7 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
         if d1 == d2:
             return ReconfigSequence(d1, (), k)
         if k >= 2:
-            (a,), (b,) = sorted(d1), sorted(d2)
-            return ReconfigSequence(d1, (Move.add(b), Move.remove(a)), k)
+            return ReconfigSequence(d1, add_then_remove(d2, d1), k)
         raise UnreachableError(
             "k = 1 on a complete graph: every singleton dominating set is frozen"
         )
@@ -160,7 +158,7 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
     if pair is not None:
         u, v = pair
         swapped = (d1 - {u}) | {v}
-        moves = (Move.add(v), Move.remove(u))
+        moves = add_then_remove((v,), (u,))
         reduced, removals = reduce_to_minimal(g, swapped)
         # v was added because d1 - {u} does not dominate on its own, so the
         # re-minimalization can never drop it
@@ -171,11 +169,9 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
         return head + common_vertex_path(g, reduced, d2, k)
 
     if len(d1) == 1:
-        # the single vertex u dominates everything, but no single vertex of
-        # d2 does: walk from d2 by adding u and stripping d2, then reverse
-        (u,) = d1
-        moves = (Move.add(u),) + tuple(Move.remove(w) for w in sorted(d2))
-        return reverse_sequence(ReconfigSequence(d2, moves, k))
+        # d1's single vertex dominates everything, but no single vertex of
+        # d2 does: walk from d2 by adding it and stripping d2, then reverse
+        return reverse_sequence(ReconfigSequence(d2, add_then_remove(d1, d2), k))
 
     u, v = min(d1), min(d2)
     swapped = (d1 - {u}) | {v}

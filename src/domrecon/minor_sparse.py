@@ -21,7 +21,13 @@ from .graphs import (
     pop_removable,
     reduce_to_minimal,
 )
-from .sequences import Move, ReconfigSequence, reverse_sequence
+from .sequences import (
+    Move,
+    ReconfigSequence,
+    add_then_remove,
+    check_endpoints,
+    reverse_sequence,
+)
 from .general import general_transform
 
 
@@ -182,8 +188,7 @@ def pad_to_size(g: Graph, D, target: int, k: int) -> ReconfigSequence:
         raise ValueError(f"target {target} or |D| = {len(D)} exceeds k = {k}")
     if len(D) < target:
         absent = [v for v in range(g.n) if v not in D]
-        moves = tuple(Move.add(v) for v in absent[: target - len(D)])
-        return ReconfigSequence(D, moves, k)
+        return ReconfigSequence(D, add_then_remove(absent[: target - len(D)]), k)
     need = len(D) - target
     removals = reduce_to_minimal(g, D)[1] if need else []
     if len(removals) < need:
@@ -236,11 +241,7 @@ def minor_sparse_transform(
     if gamma_upper < 1:
         raise ValueError("gamma_upper must be positive")
     k = gamma_upper + d - 1
-    for name, s in (("ds", ds), ("dt", dt)):
-        if not is_dominating(g, s):
-            raise ValueError(f"{name} is not a dominating set")
-        if len(s) > k:
-            raise ValueError(f"{name} has size {len(s)} > k = {k}")
+    check_endpoints(g, ds, dt, k)
     if ds == dt:
         return ReconfigSequence(ds, (), k)
     if d > gamma_upper:
@@ -256,10 +257,8 @@ def minor_sparse_transform(
         found = find_swap(g, frozenset(current), target, d)
         if isinstance(found, DensityWitness):
             raise NotMinorSparseError(d, found)
-        for v in sorted(found.s):
-            moves.append(Move.add(v))
-            current.add(v)
-        moves.append(Move.remove(found.a))
+        moves.extend(add_then_remove(found.s, (found.a,)))
+        current |= found.s
         current.remove(found.a)
         while len(current) > gamma_upper:
             moves.append(Move.remove(pop_removable(g, current, target)))
@@ -270,9 +269,6 @@ def minor_sparse_transform(
                 " domination number?"
             )
         pending = now
-    for v in sorted(target - current):
-        moves.append(Move.add(v))
-    for v in sorted(current - target):
-        moves.append(Move.remove(v))
+    moves.extend(add_then_remove(target - current, current - target))
     middle = ReconfigSequence(head.end, tuple(moves), k)
     return head + middle + reverse_sequence(tail)

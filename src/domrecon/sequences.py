@@ -72,9 +72,8 @@ class ReconfigSequence:
 
     @property
     def end(self) -> frozenset[int]:
-        s = self.start
-        for mv in self.moves:
-            s = apply_move(s, mv)
+        for s in self.states():
+            pass
         return s
 
     def states(self):
@@ -93,12 +92,25 @@ class ReconfigSequence:
         return ReconfigSequence(self.start, self.moves + other.moves, self.k)
 
 
-def sequence_from_vertices(start, adds=(), removes=(), k: int = 0) -> ReconfigSequence:
-    """Convenience constructor: all adds (ascending), then all removes (ascending)."""
-    moves = tuple(Move.add(v) for v in sorted(adds)) + tuple(
+def add_then_remove(adds=(), removes=()) -> tuple[Move, ...]:
+    """The walk every construction uses: all adds, then all removes, each ascending."""
+    return tuple(Move.add(v) for v in sorted(adds)) + tuple(
         Move.remove(v) for v in sorted(removes)
     )
-    return ReconfigSequence(frozenset(start), moves, k)
+
+
+def sequence_from_vertices(start, adds=(), removes=(), k: int = 0) -> ReconfigSequence:
+    """Convenience constructor over add_then_remove."""
+    return ReconfigSequence(frozenset(start), add_then_remove(adds, removes), k)
+
+
+def check_endpoints(g: Graph, ds, dt, k: int):
+    """Reject endpoints that are not dominating sets of size <= k."""
+    for name, s in (("ds", ds), ("dt", dt)):
+        if not is_dominating(g, s):
+            raise ValueError(f"{name} is not a dominating set")
+        if len(s) > k:
+            raise ValueError(f"{name} has size {len(s)} > k = {k}")
 
 
 def reverse_sequence(seq: ReconfigSequence) -> ReconfigSequence:
@@ -158,26 +170,20 @@ def verify_sequence(
         if bad_index is None:
             bad_index, bad_reason = index, reason
 
-    current = seq.start
-    max_size = len(current)
-    if len(current) > budget:
-        note(0, SIZE_EXCEEDS_K)
-    if bad_index is None and not is_dominating(g, current):
-        note(0, NOT_DOMINATING)
-    end: frozenset[int] | None = current
-    for i, mv in enumerate(seq.moves, start=1):
-        try:
-            current = apply_move(current, mv)
-        except ValueError:
-            note(i, BAD_MOVE)
-            end = None
-            break
-        max_size = max(max_size, len(current))
-        if len(current) > budget:
-            note(i, SIZE_EXCEEDS_K)
-        if bad_index is None and not is_dominating(g, current):
-            note(i, NOT_DOMINATING)
-        end = current
+    max_size = 0
+    end: frozenset[int] | None = None
+    try:
+        for i, current in enumerate(seq.states()):
+            max_size = max(max_size, len(current))
+            if len(current) > budget:
+                note(i, SIZE_EXCEEDS_K)
+            if bad_index is None and not is_dominating(g, current):
+                note(i, NOT_DOMINATING)
+            end = current
+    except ValueError:
+        # states() stopped at the malformed move i + 1
+        note(i + 1, BAD_MOVE)
+        end = None
     end_matches = None if expected_end is None or end is None else end == frozenset(expected_end)
     return VerificationReport(
         valid=bad_index is None,

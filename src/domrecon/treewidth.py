@@ -24,7 +24,13 @@ from .graphs import (
     set_of,
 )
 from .minor_sparse import pad_to_size
-from .sequences import Move, ReconfigSequence, reverse_sequence
+from .sequences import (
+    Move,
+    ReconfigSequence,
+    add_then_remove,
+    check_endpoints,
+    reverse_sequence,
+)
 
 
 class DecompositionError(ValueError):
@@ -180,17 +186,6 @@ class NormalizedTD:
                 left[p] |= left[c]
         return tuple(left)
 
-    def vertex_tops(self) -> list[int]:
-        """Highest elimination index of a bag holding each vertex (-1 if none)."""
-        return list(self.tops)
-
-    def is_descendant(self, i: int, j: int) -> bool:
-        """Whether bag i lies in the subtree rooted at bag j (i == j counts)."""
-        cur: int | None = i
-        while cur is not None and cur < j:
-            cur = self.parent[cur]
-        return cur == j
-
 
 def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD:
     """Contract nested adjacent bags, root the tree, order leaves-first.
@@ -337,9 +332,10 @@ def tw_step(
     Classifies bag j's vertices, pulls in the target's left vertices plus
     the right vertices not otherwise covered, drops the working set's own
     left leftovers, then reduces back to size <= Gamma. Checks the sweep
-    invariant on entry and exit, the peak size Gamma + tw + 1 and the move
-    budget 2 (tw + 1); failures raise SweepError since they can only come
-    from inconsistent inputs.
+    invariant on entry only (the next tw_step, or final_merge at the root,
+    checks the set this step returns), the peak size Gamma + tw + 1 and the
+    move budget 2 (tw + 1); failures raise SweepError since they can only
+    come from inconsistent inputs.
     """
     d_j, target = frozenset(d_j), frozenset(target)
     if not 0 <= j < ntd.num_bags - 1:
@@ -372,8 +368,7 @@ def tw_step(
             f"swap at bag {j} broke domination; the decomposition or the"
             " target set is inconsistent"
         )
-    moves = [Move.add(v) for v in sorted(additions)]
-    moves.extend(Move.remove(v) for v in sorted(a_out))
+    moves = list(add_then_remove(additions, a_out))
     current = set(d_prime)
     while len(current) > gamma_upper:
         moves.append(Move.remove(pop_removable(g, current, target)))
@@ -381,9 +376,7 @@ def tw_step(
         raise SweepError(
             f"bag {j} needed {len(moves)} moves, above the 2 (tw + 1) budget"
         )
-    d_next = frozenset(current)
-    _check_property(g, ntd, j + 1, d_next, target, gamma_upper)
-    return tuple(moves), d_next
+    return tuple(moves), frozenset(current)
 
 
 def final_merge(
@@ -419,9 +412,7 @@ def final_merge(
         )
     if len(d_b | missing) > gamma_upper + tw + 1:
         raise SweepError("final merge exceeds the peak budget Gamma + tw + 1")
-    return tuple(Move.add(v) for v in sorted(missing)) + tuple(
-        Move.remove(v) for v in sorted(surplus)
-    )
+    return add_then_remove(missing, surplus)
 
 
 def _domination_number(g: Graph) -> int:
@@ -485,11 +476,7 @@ def treewidth_transform(
                 " min_ds is minimum",
                 stacklevel=2,
             )
-    for name, s in (("ds", ds), ("dt", dt)):
-        if not is_dominating(g, s):
-            raise ValueError(f"{name} is not a dominating set")
-        if len(s) > k:
-            raise ValueError(f"{name} has size {len(s)} > k = {k}")
+    check_endpoints(g, ds, dt, k)
 
     def sweep(start) -> ReconfigSequence:
         head = pad_to_size(g, start, min(len(start), gamma_upper), k)

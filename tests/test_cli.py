@@ -392,6 +392,26 @@ class TestOracle:
         assert code == 3
         assert "limit:" in err
 
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
+            (("--distance", "1,3", "2"), "--distance"),
+            (("--frozen",), "--frozen"),
+            (("--diameter",), "--diameter"),
+        ],
+    )
+    def test_scan_rejects_query_flags(self, capsys, p3, flags, flag):
+        code, out, err = run(capsys, "oracle", p3, "--scan", "3", *flags)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} does not apply to --scan" in err
+
+    def test_k_rejects_csv(self, capsys, p3):
+        code, out, err = run(capsys, "oracle", p3, "--k", "3", "--csv")
+        assert code == 1
+        assert out == ""
+        assert "--csv does not apply to --k" in err
+
     def test_mode_required(self, capsys, p3):
         with pytest.raises(SystemExit) as info:
             main(["oracle", p3])

@@ -1,6 +1,7 @@
 import pytest
 
-from domrecon.graphs import Graph
+from domrecon import general, minor_sparse, sequences, treewidth
+from domrecon.graphs import Graph, exact_invariants
 from domrecon.sequences import (
     BAD_MOVE,
     NOT_DOMINATING,
@@ -8,7 +9,9 @@ from domrecon.sequences import (
     Move,
     ReconfigSequence,
     SequenceFormatError,
+    add_then_remove,
     apply_move,
+    check_endpoints,
     format_sequence,
     parse_sequence,
     reverse_sequence,
@@ -88,6 +91,52 @@ class TestSequenceAlgebra:
         assert rev.end == seq.start
         back = reverse_sequence(rev)
         assert back.start == seq.start and back.moves == seq.moves
+
+
+class TestWalkHelpers:
+    def test_add_then_remove_order(self):
+        assert add_then_remove({5, 1}, [4, 0]) == (
+            Move.add(1), Move.add(5), Move.remove(0), Move.remove(4)
+        )
+        assert add_then_remove(removes={2}) == (Move.remove(2),)
+        assert add_then_remove() == ()
+        assert sequence_from_vertices({0}, {2, 1}, {0}, k=3).moves == (
+            add_then_remove({1, 2}, {0})
+        )
+
+    def test_check_endpoints(self):
+        g = path(3)
+        check_endpoints(g, {1}, {0, 2}, 2)
+        with pytest.raises(ValueError, match="ds is not a dominating set"):
+            check_endpoints(g, {0}, {0, 1, 2}, 2)
+        with pytest.raises(ValueError, match=r"dt has size 3 > k = 2"):
+            check_endpoints(g, {1}, {0, 1, 2}, 2)
+        # ds before dt, domination before size
+        with pytest.raises(ValueError, match="ds has size 3"):
+            check_endpoints(g, {0, 1, 2}, {0}, 2)
+
+    def test_every_transform_checks_its_endpoints(self, monkeypatch):
+        class Checked(Exception):
+            pass
+
+        def stop(g, ds, dt, k):
+            raise Checked(k)
+
+        for module in (general, minor_sparse, treewidth):
+            assert module.check_endpoints is sequences.check_endpoints
+            monkeypatch.setattr(module, "check_endpoints", stop)
+        g = path(3)
+        td = treewidth.TreeDecomposition(
+            3, (frozenset({0, 1}), frozenset({1, 2})), ((0, 1),), root=1
+        )
+        transforms = [
+            lambda: general.general_transform(g, {1}, {0, 2}, exact_invariants(g)),
+            lambda: minor_sparse.minor_sparse_transform(g, {1}, {0, 2}, 2, 2),
+            lambda: treewidth.treewidth_transform(g, td, {1}, {0, 2}, 2),
+        ]
+        for transform in transforms:
+            with pytest.raises(Checked):
+                transform()
 
 
 class TestVerify:

@@ -151,10 +151,7 @@ class TestNormalize:
 
     def test_vertex_tops_and_descendants(self):
         ntd = normalize_td(path_td(4))
-        assert ntd.vertex_tops() == [0, 1, 2, 2]
-        assert ntd.is_descendant(0, 0)
-        assert ntd.is_descendant(0, 2)
-        assert not ntd.is_descendant(1, 0)
+        assert ntd.tops == (0, 1, 2, 2)
 
 
 def reference_cases():
@@ -181,7 +178,6 @@ class TestCachedStructures:
         bags, parents = helpers.naive_normalize_td(td, root=root)
         assert (ntd.bags, ntd.parent) == (bags, parents)
         tops = helpers.naive_vertex_tops(ntd)
-        assert ntd.vertex_tops() == tops
         assert ntd.tops == tuple(tops)
         assert ntd.width == max(len(bag) for bag in bags) - 1
         for j in range(ntd.num_bags):
@@ -204,12 +200,6 @@ class TestCachedStructures:
                 td = helpers.exact_tree_decomposition(g)
                 for root in {None, 0, td.num_bags // 2}:
                     self.check(g, td, root)
-
-    def test_vertex_tops_returns_a_fresh_list(self):
-        ntd = normalize_td(path_td(4))
-        tops = ntd.vertex_tops()
-        tops[0] = 99
-        assert ntd.vertex_tops() == [0, 1, 2, 2]
 
 
 class TestValidateAgainstNaive:
@@ -280,7 +270,6 @@ class TestSweepReadsCachedStructures:
         def forbidden(*args, **kwargs):
             raise AssertionError("the sweep walked the bag tree per vertex")
 
-        monkeypatch.setattr(NormalizedTD, "is_descendant", forbidden)
         monkeypatch.setattr(treewidth, "classify_left", forbidden)
         builds = Counter()
         for name in ("tops", "left_masks"):
@@ -307,6 +296,47 @@ class TestSweepReadsCachedStructures:
         assert report.valid and report.end_matches
         # one normalized decomposition per transform, each structure built once
         assert builds == {"tops": 1, "left_masks": 1}
+
+
+class TestOneCheckPerBoundary:
+    """Each sweep checks the invariant once per bag index, on entry to the
+    bag (tw_step) or at the root (final_merge)."""
+
+    def check(self, monkeypatch, g, td, *args, **kwargs):
+        checked = Counter()
+        original = treewidth._check_property
+
+        def counted(g, ntd, j, *rest):
+            checked[j] += 1
+            return original(g, ntd, j, *rest)
+
+        monkeypatch.setattr(treewidth, "_check_property", counted)
+        treewidth_transform(g, td, *args, **kwargs)
+        # one sweep from each endpoint
+        b = normalize_td(td).num_bags
+        assert checked == {j: 2 for j in range(b)}
+        return b
+
+    def test_mynhardt(self, monkeypatch):
+        g = gen_mynhardt(4)
+        ds, dt = greedy_maximal_is(g), greedy_maximal_is(g, frozenset({g.n - 1}))
+        _, min_ds = helpers.milp_gamma(g)
+        b = self.check(
+            monkeypatch, g, gen_mynhardt_td(4), ds, dt, helpers.milp_gamma_upper(g),
+            min_ds=min_ds,
+        )
+        assert b == 13
+
+    def test_random_tree(self, monkeypatch):
+        g = gen_random_tree(80, seed=7)
+        td = helpers.tree_natural_decomposition(g)
+        _, min_ds = helpers.milp_gamma(g)
+        ds, dt = greedy_maximal_is(g), greedy_maximal_is(g, frozenset({g.n - 1}))
+        with pytest.warns(UserWarning, match="trusting"):
+            b = self.check(
+                monkeypatch, g, td, ds, dt, helpers.milp_gamma_upper(g), min_ds=min_ds
+            )
+        assert b > 20
 
 
 class TestClassifyLeft:
