@@ -222,7 +222,10 @@ def cmd_transform(args) -> int:
         if gamma_upper is None:
             gamma_upper = exact_invariants(g, limit=limit).gamma_upper
         seq = minor_sparse_transform(g, ds, dt, d, gamma_upper, limit=limit)
-        bound = 2 * gamma_upper * (d - 1) + 2 * (gamma_upper - 1)
+        if d > gamma_upper:  # minor_sparse_transform ran general_transform
+            bound = 10 * g.n
+        else:
+            bound = 2 * gamma_upper * (d - 1) + 2 * (gamma_upper - 1)
         comments.append(f"k {seq.k} (Gamma {gamma_upper} + d {d} - 1)")
     else:
         _reject_flags(

@@ -188,10 +188,7 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
 
 
 def _lowest_undominated(g: Graph, s) -> int:
-    cov = 0
-    for v in s:
-        cov |= g.nb_mask[v]
-    missing = g.full_mask & ~cov
+    missing = g.full_mask & ~coverage(g, s)[0]
     if not missing:
         raise RuntimeError("swap candidate unexpectedly dominating")
     return (missing & -missing).bit_length() - 1

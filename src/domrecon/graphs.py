@@ -210,16 +210,6 @@ def coverage(g: Graph, s) -> tuple[int, int]:
     return once, twice
 
 
-def _first_droppable(g: Graph, order, s) -> int | None:
-    # first vertex of `order` whose private set within s is empty
-    once, twice = coverage(g, s)
-    if once == g.full_mask:
-        for v in order:
-            if not g.nb_mask[v] & ~twice:
-                return v
-    return None
-
-
 def is_minimal_dominating(g: Graph, s) -> bool:
     """Dominating, and no single vertex can be dropped."""
     members = sorted(s)
@@ -238,29 +228,48 @@ def reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
     """
     if not is_dominating(g, s):
         raise ValueError("input set is not dominating")
-    current = set(s)
-    removals: list[int] = []
-    while (v := _first_droppable(g, sorted(current), current)) is not None:
-        current.remove(v)
-        removals.append(v)
-    return frozenset(current), removals
+    removals = list(greedy_removals(g, s, ()))
+    return frozenset(s).difference(removals), removals
 
 
-def pop_removable(g: Graph, current: set[int], prefer_outside) -> int:
-    """Remove and return the best droppable vertex of a dominating set.
+def greedy_removals(g: Graph, s, prefer_outside):
+    """Yield the members of a dominating set s in greedy removal order.
 
-    Candidates outside prefer_outside come first, lowest id breaking ties;
-    a vertex is droppable when the rest still dominates. Mutates current.
+    Each step drops the first member whose private set (see coverage) is
+    empty, members outside prefer_outside before those inside, lowest id
+    breaking ties, and recomputes the coverage. Every prefix of the yielded
+    order leaves a dominating set; the generator ends when no member can go
+    or s does not dominate. Lazy: the one sort and each coverage pass run
+    only when the next member is asked for.
     """
-    order = sorted(current, key=lambda v: (v in prefer_outside, v))
-    v = _first_droppable(g, order, current)
-    if v is None:
-        raise ValueError(
-            "no removable vertex above the claimed Gamma; is gamma_upper"
-            " the true upper domination number?"
-        )
-    current.remove(v)
-    return v
+    nb = g.nb_mask
+    current = sorted(s, key=lambda v: (v in prefer_outside, v))
+    while True:
+        once, twice = coverage(g, current)
+        if once != g.full_mask:
+            return
+        i = next((i for i, v in enumerate(current) if not nb[v] & ~twice), None)
+        if i is None:
+            return
+        yield current.pop(i)
+
+
+def dominating_subsets(g: Graph, max_size: int):
+    """Yield the masks of all dominating sets of size <= max_size.
+
+    Order: by size, then lexicographically (itertools.combinations order),
+    so the first mask yielded is the lexicographically first minimum
+    dominating set.
+    """
+    nb = g.nb_mask
+    full = g.full_mask
+    for size in range(min(max_size, g.n) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            cov = 0
+            for v in combo:
+                cov |= nb[v]
+            if cov == full:
+                yield mask_of(combo)
 
 
 def greedy_maximal_is(g: Graph, seed=frozenset()) -> frozenset[int]:

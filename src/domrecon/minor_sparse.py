@@ -18,8 +18,6 @@ from .graphs import (
     exact_invariants,
     is_dominating,
     mask_of,
-    pop_removable,
-    reduce_to_minimal,
 )
 from .sequences import (
     Move,
@@ -27,6 +25,7 @@ from .sequences import (
     add_then_remove,
     check_endpoints,
     reverse_sequence,
+    shrink_walk,
 )
 from .general import general_transform
 
@@ -189,15 +188,7 @@ def pad_to_size(g: Graph, D, target: int, k: int) -> ReconfigSequence:
     if len(D) < target:
         absent = [v for v in range(g.n) if v not in D]
         return ReconfigSequence(D, add_then_remove(absent[: target - len(D)]), k)
-    need = len(D) - target
-    removals = reduce_to_minimal(g, D)[1] if need else []
-    if len(removals) < need:
-        raise ValueError(
-            f"cannot shrink to {target}: greedy minimalization stops at"
-            f" size {len(D) - len(removals)}; is gamma_upper the true upper"
-            " domination number?"
-        )
-    return ReconfigSequence(D, tuple(Move.remove(v) for v in removals[:need]), k)
+    return ReconfigSequence(D, shrink_walk(g, D, target, ()), k)
 
 
 def suggested_density(
@@ -228,8 +219,9 @@ def minor_sparse_transform(
     find_swap toward the target until the difference drops below d; the
     remainder is a plain add-then-remove walk. Length is bounded by
     2*Gamma*(d-1) + 2*(Gamma-1). When d exceeds Gamma the general
-    transform already fits the budget and is used as-is (this needs exact
-    invariants, so it needs g.n <= limit).
+    transform already fits the budget and is used as-is, with its own
+    length bound 10 n (this needs exact invariants, so it needs
+    g.n <= limit).
 
     Raises:
         NotMinorSparseError: find_swap certified a dense bipartite minor,
@@ -249,19 +241,18 @@ def minor_sparse_transform(
 
     head = pad_to_size(g, ds, gamma_upper, k)
     tail = pad_to_size(g, dt, gamma_upper, k)
-    current = set(head.end)
+    current = head.end
     target = tail.end
     moves: list[Move] = []
     pending = len(target - current)
     while pending >= d:
-        found = find_swap(g, frozenset(current), target, d)
+        found = find_swap(g, current, target, d)
         if isinstance(found, DensityWitness):
             raise NotMinorSparseError(d, found)
-        moves.extend(add_then_remove(found.s, (found.a,)))
-        current |= found.s
-        current.remove(found.a)
-        while len(current) > gamma_upper:
-            moves.append(Move.remove(pop_removable(g, current, target)))
+        current = (current | found.s) - {found.a}
+        shrink = shrink_walk(g, current, gamma_upper, target)
+        moves.extend(add_then_remove(found.s, (found.a,)) + shrink)
+        current = current.difference(mv.vertex for mv in shrink)
         now = len(target - current)
         if now > pending - 1:
             raise RuntimeError(

@@ -7,12 +7,18 @@ subset enumeration is the point, not a shortcut.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
-from .graphs import Graph, LimitError, exact_invariants, mask_of, set_of
+from .graphs import (
+    Graph,
+    LimitError,
+    dominating_subsets,
+    exact_invariants,
+    mask_of,
+    set_of,
+)
 
 DEFAULT_VERTEX_LIMIT = 20
 DEFAULT_SUBSET_CAP = 1 << 22
@@ -37,25 +43,19 @@ class ReconfigGraph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def node_sets(self) -> list[frozenset[int]]:
-        return [set_of(mask) for mask in self.nodes]
-
     def index_of(self, s) -> int:
         mask = mask_of(s)
         try:
-            return self._index()[mask]
+            return self._index[mask]
         except KeyError:
             raise ValueError(
                 f"set {sorted(v + 1 for v in s)} is not a node of R_{self.k}"
                 " (not dominating or larger than k)"
             ) from None
 
+    @cached_property
     def _index(self) -> dict[int, int]:
-        cache = getattr(self, "_index_cache", None)
-        if cache is None:
-            cache = {mask: i for i, mask in enumerate(self.nodes)}
-            object.__setattr__(self, "_index_cache", cache)
-        return cache
+        return {mask: i for i, mask in enumerate(self.nodes)}
 
 
 def _scan_estimate(n: int, k: int) -> int:
@@ -83,16 +83,7 @@ def build_reconfig_graph(
         raise LimitError(
             f"scanning {_scan_estimate(g.n, k)} subsets exceeds the cap {subset_cap}"
         )
-    nb = g.nb_mask
-    full = g.full_mask
-    nodes: list[int] = []
-    for size in range(min(k, g.n) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            cov = 0
-            for v in combo:
-                cov |= nb[v]
-            if cov == full:
-                nodes.append(mask_of(combo))
+    nodes = list(dominating_subsets(g, k))
     index = {mask: i for i, mask in enumerate(nodes)}
     adj: list[list[int]] = [[] for _ in nodes]
     for i, mask in enumerate(nodes):
@@ -116,21 +107,37 @@ def build_reconfig_graph(
     )
 
 
+def _bfs_levels(adj, source: int, seen: bytearray):
+    """Yield the BFS frontiers from source, one list per level.
+
+    Marks each node in seen when it is reached and never enters a node
+    already marked, so when level h is yielded the marks added so far are
+    exactly the nodes within distance h of source.
+    """
+    seen[source] = 1
+    frontier = [source]
+    while frontier:
+        yield frontier
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        frontier = nxt
+
+
 def _label_components(adj) -> tuple[tuple[int, ...], int]:
-    # BFS labels in node order: component ids follow each component's first node
+    # labels in node order: component ids follow each component's first node
     comp = [-1] * len(adj)
+    seen = bytearray(len(adj))
     num_components = 0
     for s in range(len(adj)):
-        if comp[s] != -1:
+        if seen[s]:
             continue
-        comp[s] = num_components
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if comp[w] == -1:
-                    comp[w] = num_components
-                    queue.append(w)
+        for level in _bfs_levels(adj, s, seen):
+            for u in level:
+                comp[u] = num_components
         num_components += 1
     return tuple(comp), num_components
 
@@ -150,35 +157,18 @@ def distance(rg: ReconfigGraph, a, b) -> int | float:
     ia, ib = rg.index_of(a), rg.index_of(b)
     if rg.comp[ia] != rg.comp[ib]:
         return math.inf
-    if ia == ib:
-        return 0
-    dist = {ia: 0}
-    queue = deque([ia])
-    while queue:
-        u = queue.popleft()
-        for w in rg.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == ib:
-                    return dist[w]
-                queue.append(w)
+    seen = bytearray(rg.num_nodes)
+    for hops, _level in enumerate(_bfs_levels(rg.adj, ia, seen)):
+        if seen[ib]:
+            return hops
     raise RuntimeError("BFS must reach a node of the same component")
 
 
 def _eccentricities(rg: ReconfigGraph, sources) -> int:
     best = 0
     for s in sources:
-        dist = {s: 0}
-        queue = deque([s])
-        far = 0
-        while queue:
-            u = queue.popleft()
-            for w in rg.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    far = max(far, dist[w])
-                    queue.append(w)
-        best = max(best, far)
+        levels = sum(1 for _ in _bfs_levels(rg.adj, s, bytearray(rg.num_nodes)))
+        best = max(best, levels - 1)
     return best
 
 
@@ -237,7 +227,7 @@ def threshold_scan(
         raise ValueError(f"kmax must be at most n={g.n}")
     if g.n > limit:
         raise LimitError(f"oracle needs n <= {limit}, got {g.n}")
-    inv = exact_invariants(g, limit=max(limit, 24))
+    inv = exact_invariants(g, limit=limit)
     gamma = inv.gamma_min
     full_rg = build_reconfig_graph(g, kmax, limit=limit, subset_cap=subset_cap)
     records: list[ThresholdRecord] = []
@@ -282,8 +272,6 @@ def threshold_scan(
             d0 = rec.k
         else:
             break
-    if records and not records[-1].connected:
-        d0 = None
     return ThresholdReport(
         graph_n=g.n,
         gamma=gamma,

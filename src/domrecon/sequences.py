@@ -7,9 +7,10 @@ absent vertex or removes a present one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, is_dominating
+from .graphs import Graph, greedy_removals, is_dominating
 
 ADD = "add"
 REMOVE = "remove"
@@ -102,6 +103,25 @@ def add_then_remove(adds=(), removes=()) -> tuple[Move, ...]:
 def sequence_from_vertices(start, adds=(), removes=(), k: int = 0) -> ReconfigSequence:
     """Convenience constructor over add_then_remove."""
     return ReconfigSequence(frozenset(start), add_then_remove(adds, removes), k)
+
+
+def shrink_walk(g: Graph, s, size: int, prefer_outside) -> tuple[Move, ...]:
+    """Remove moves taking a dominating set s down to `size` members.
+
+    Removes in greedy_removals order (outside prefer_outside first, then by
+    id), so every intermediate set dominates. A set already at or below
+    `size` gives no moves and costs no coverage pass. Raises ValueError when
+    the greedy order stops above `size`.
+    """
+    need = max(len(s) - size, 0)
+    removals = tuple(itertools.islice(greedy_removals(g, s, prefer_outside), need))
+    if len(removals) < need:
+        raise ValueError(
+            f"cannot shrink to {size}: greedy minimalization stops at"
+            f" size {len(s) - len(removals)}; is gamma_upper the true upper"
+            " domination number?"
+        )
+    return tuple(Move.remove(v) for v in removals)
 
 
 def check_endpoints(g: Graph, ds, dt, k: int):

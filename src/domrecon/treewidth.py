@@ -10,17 +10,16 @@ that is the sweep invariant checked at every step.
 from __future__ import annotations
 
 import heapq
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
     Graph,
-    exact_invariants,
+    LimitError,
+    dominating_subsets,
     is_dominating,
     mask_of,
-    pop_removable,
     set_of,
 )
 from .minor_sparse import pad_to_size
@@ -30,6 +29,7 @@ from .sequences import (
     add_then_remove,
     check_endpoints,
     reverse_sequence,
+    shrink_walk,
 )
 
 
@@ -368,15 +368,13 @@ def tw_step(
             f"swap at bag {j} broke domination; the decomposition or the"
             " target set is inconsistent"
         )
-    moves = list(add_then_remove(additions, a_out))
-    current = set(d_prime)
-    while len(current) > gamma_upper:
-        moves.append(Move.remove(pop_removable(g, current, target)))
+    shrink = shrink_walk(g, d_prime, gamma_upper, target)
+    moves = add_then_remove(additions, a_out) + shrink
     if len(moves) > 2 * (tw + 1):
         raise SweepError(
             f"bag {j} needed {len(moves)} moves, above the 2 (tw + 1) budget"
         )
-    return tuple(moves), frozenset(current)
+    return moves, d_prime.difference(mv.vertex for mv in shrink)
 
 
 def final_merge(
@@ -415,17 +413,6 @@ def final_merge(
     return add_then_remove(missing, surplus)
 
 
-def _domination_number(g: Graph) -> int:
-    for size in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            cov = 0
-            for v in combo:
-                cov |= g.nb_mask[v]
-            if cov == g.full_mask:
-                return size
-    raise RuntimeError("the full vertex set always dominates")
-
-
 def treewidth_transform(
     g: Graph,
     td: TreeDecomposition,
@@ -459,13 +446,16 @@ def treewidth_transform(
     k = gamma_upper + tw + 1
 
     if min_ds is None:
-        target = exact_invariants(g, limit=limit).witness_min_ds
+        if g.n > limit:
+            raise LimitError(f"computing min_ds needs n <= {limit}, got {g.n}")
+        target = set_of(next(dominating_subsets(g, g.n)))
     else:
         target = frozenset(min_ds)
         if not is_dominating(g, target):
             raise ValueError("min_ds is not a dominating set")
         if g.n <= limit:
-            gamma = _domination_number(g)
+            # target dominates, so a set of size <= |target| is yielded
+            gamma = next(dominating_subsets(g, len(target))).bit_count()
             if len(target) != gamma:
                 raise ValueError(
                     f"min_ds has size {len(target)} but gamma = {gamma}"

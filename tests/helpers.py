@@ -8,6 +8,8 @@ disagreement in a test points at a real defect rather than a shared bug.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 
 import networkx as nx
 import numpy as np
@@ -143,6 +145,47 @@ def all_dominating_sets(g: Graph) -> list[frozenset[int]]:
 
 def all_minimal_dominating_sets(g: Graph) -> list[frozenset[int]]:
     return [s for s in all_dominating_sets(g) if naive_is_minimal_dominating(g, s)]
+
+
+def naive_label_components(adj) -> tuple[tuple[int, ...], int]:
+    """deque BFS labels in node order; ids follow each component's first node."""
+    comp = [-1] * len(adj)
+    num_components = 0
+    for s in range(len(adj)):
+        if comp[s] != -1:
+            continue
+        comp[s] = num_components
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if comp[w] == -1:
+                    comp[w] = num_components
+                    queue.append(w)
+        num_components += 1
+    return tuple(comp), num_components
+
+
+def _naive_bfs(adj, source: int) -> dict[int, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def naive_distance(adj, a: int, b: int) -> int | float:
+    """Hop count between node indices a and b; math.inf when unreachable."""
+    return _naive_bfs(adj, a).get(b, math.inf)
+
+
+def naive_eccentricity(adj, source: int) -> int:
+    """Largest hop count from source within its component."""
+    return max(_naive_bfs(adj, source).values())
 
 
 def naive_validate_td(g: Graph, td: TreeDecomposition) -> tuple[bool, tuple[str, ...], int]:

@@ -179,6 +179,30 @@ class TestTransform:
         assert code == 3
         assert "limit:" in err
 
+    @pytest.mark.parametrize(
+        "n, edges, start, end, d, length",
+        [
+            (2, [(1, 2)], "1", "1,2", "2", 3),
+            (
+                4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+                "1,2,4", "1,3", "3", 5,
+            ),
+        ],
+    )
+    def test_minor_sparse_fallback_bound(
+        self, capsys, tmp_path, n, edges, start, end, d, length
+    ):
+        # Gamma = 1 < d: the general transform runs, so its 10 n bound applies
+        f = tmp_path / "k.gr"
+        lines = [f"p ds {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+        f.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(
+            capsys, "transform", str(f), "--from", start, "--to", end,
+            "--method", "minor-sparse", "--d", d,
+        )
+        assert code == 0
+        assert f"c length {length} (bound {10 * n})" in out
+
     def test_planar_shortcut_conflicts_with_d(self, capsys, p3):
         code, _, err = run(
             capsys, "transform", p3, "--from", "1,3", "--to", "2",

@@ -8,20 +8,22 @@ from domrecon.graphs import (
     GraphFormatError,
     LimitError,
     coverage,
+    dominating_subsets,
     exact_invariants,
     format_graph,
     format_vertex_list,
     greedy_maximal_is,
+    greedy_removals,
     is_connected,
     is_dominating,
     is_minimal_dominating,
     mask_of,
     parse_graph,
     parse_vertex_list,
-    pop_removable,
     reduce_to_minimal,
     set_of,
 )
+from domrecon.sequences import Move, shrink_walk
 
 
 def path(n):
@@ -166,25 +168,22 @@ class TestDomination:
         with pytest.raises(ValueError, match="not dominating"):
             reduce_to_minimal(path(4), {0})
 
-    def test_pop_removable_prefers_outside(self):
+    def test_greedy_removals_prefers_outside(self):
         g = path(4)
-        current = {0, 1, 3}
-        got = pop_removable(g, current, prefer_outside={0, 3})
-        assert got == 1
-        assert current == {0, 3}
+        assert list(greedy_removals(g, {0, 1, 3}, prefer_outside={0, 3})) == [1]
+        assert shrink_walk(g, {0, 1, 3}, 2, {0, 3}) == (Move.remove(1),)
 
-    def test_pop_removable_lowest_id_fallback(self):
+    def test_greedy_removals_lowest_id_fallback(self):
         g = path(4)
-        current = {0, 1, 3}
         # everything in the preferred set: plain ascending order applies
-        got = pop_removable(g, current, prefer_outside={0, 1, 3})
-        assert got == 0
-        assert current == {1, 3}
+        assert list(greedy_removals(g, {0, 1, 3}, prefer_outside={0, 1, 3})) == [0]
+        assert shrink_walk(g, {0, 1, 3}, 2, {0, 1, 3}) == (Move.remove(0),)
 
-    def test_pop_removable_exhausted(self):
+    def test_shrink_walk_exhausted(self):
         g = path(4)
-        with pytest.raises(ValueError, match="no removable vertex"):
-            pop_removable(g, {1, 3}, prefer_outside=set())
+        assert list(greedy_removals(g, {1, 3}, prefer_outside=set())) == []
+        with pytest.raises(ValueError, match="cannot shrink to 1"):
+            shrink_walk(g, {1, 3}, 1, set())
 
 
 class TestCoverage:
@@ -210,15 +209,14 @@ class TestAgainstNaive:
                     assert reduce_to_minimal(g, s) == reduced
                     low = set(sorted(s)[: len(s) // 2])
                     for prefer in (set(), set(s), low):
-                        fast, slow = set(s), set(s)
-                        try:
-                            want = helpers.naive_pop_removable(g, slow, prefer)
-                        except ValueError:
-                            with pytest.raises(ValueError):
-                                pop_removable(g, fast, prefer)
-                        else:
-                            assert pop_removable(g, fast, prefer) == want
-                        assert fast == slow
+                        slow, want = set(s), []
+                        while True:
+                            try:
+                                v = helpers.naive_pop_removable(g, slow, prefer)
+                            except ValueError:
+                                break
+                            want.append(v)
+                        assert list(greedy_removals(g, s, prefer)) == want
 
     def test_every_subset_on_five_vertices(self, atlas_connected):
         for g in atlas_connected[5]:
@@ -226,6 +224,23 @@ class TestAgainstNaive:
                 for combo in itertools.combinations(range(g.n), size):
                     minimal = helpers.naive_is_minimal_dominating(g, combo)
                     assert is_minimal_dominating(g, combo) == minimal
+
+
+class TestDominatingSubsets:
+    def test_prefix_of_all_dominating_sets(self, atlas_connected):
+        for n in range(1, 7):
+            for g in atlas_connected[n]:
+                every = [mask_of(s) for s in helpers.all_dominating_sets(g)]
+                for k in range(n + 1):
+                    want = [m for m in every if m.bit_count() <= k]
+                    assert list(dominating_subsets(g, k)) == want
+
+    def test_first_is_the_minimum_witness(self, atlas_connected):
+        graphs = [g for n in range(1, 8) for g in atlas_connected[n]]
+        assert len(graphs) == 996
+        for g in graphs:
+            first = next(dominating_subsets(g, g.n))
+            assert set_of(first) == exact_invariants(g).witness_min_ds
 
 
 class TestGreedyMaximalIS:

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from domrecon.graphs import Graph, LimitError
+import helpers
+from domrecon.graphs import Graph, LimitError, exact_invariants, set_of
 from domrecon.oracle import (
     build_reconfig_graph,
     diameter,
@@ -106,6 +107,30 @@ class TestDistance:
             rg.index_of({0})
         with pytest.raises(ValueError, match="not a node"):
             distance(rg, {0, 1, 2}, {1})
+
+
+class TestAgainstNaiveBFS:
+    """The level-by-level BFS agrees with the deque BFS on small R_k."""
+
+    def test_every_connected_graph_up_to_five(self, atlas_connected):
+        checked = 0
+        for n in range(1, 6):
+            for g in atlas_connected[n]:
+                for k in range(exact_invariants(g).gamma_min, n + 1):
+                    rg = build_reconfig_graph(g, k)
+                    comp, ncomp = helpers.naive_label_components(rg.adj)
+                    assert (rg.comp, rg.num_components) == (comp, ncomp)
+                    nodes = range(rg.num_nodes)
+                    ecc = [helpers.naive_eccentricity(rg.adj, s) for s in nodes]
+                    assert max_component_diameter(rg) == max(ecc)
+                    assert diameter(rg) == (max(ecc) if ncomp == 1 else math.inf)
+                    sets = [set_of(mask) for mask in rg.nodes]
+                    for i, a in enumerate(sets):
+                        for j, b in enumerate(sets):
+                            want = helpers.naive_distance(rg.adj, i, j)
+                            assert distance(rg, a, b) == want
+                    checked += 1
+        assert checked == 126
 
 
 class TestThresholdScan:

@@ -1,6 +1,6 @@
 import pytest
 
-from domrecon import general, minor_sparse, sequences, treewidth
+from domrecon import general, graphs, minor_sparse, sequences, treewidth
 from domrecon.graphs import Graph, exact_invariants
 from domrecon.sequences import (
     BAD_MOVE,
@@ -16,6 +16,7 @@ from domrecon.sequences import (
     parse_sequence,
     reverse_sequence,
     sequence_from_vertices,
+    shrink_walk,
     verify_sequence,
 )
 
@@ -114,6 +115,30 @@ class TestWalkHelpers:
         # ds before dt, domination before size
         with pytest.raises(ValueError, match="ds has size 3"):
             check_endpoints(g, {0, 1, 2}, {0}, 2)
+
+    def test_shrink_walk_is_lazy(self, monkeypatch):
+        # the sweep shrinks at every bag; a set that already fits must cost
+        # no coverage pass, and a shrink by one costs exactly one
+        calls = []
+
+        def counting(g, s):
+            calls.append(len(s))
+            return real(g, s)
+
+        real = graphs.coverage
+        monkeypatch.setattr(graphs, "coverage", counting)
+        g = path(6)
+        s = {0, 1, 2, 3, 4}
+        assert shrink_walk(g, s, 5, s) == ()
+        assert shrink_walk(g, s, 9, ()) == ()
+        removals = graphs.greedy_removals(g, s, ())
+        assert calls == []
+        assert shrink_walk(g, s, 4, ()) == (Move.remove(0),)
+        assert calls == [5]
+        assert next(removals) == 0
+        assert calls == [5, 5]
+        assert shrink_walk(g, s, 3, ()) == (Move.remove(0), Move.remove(2))
+        assert calls == [5, 5, 5, 4]
 
     def test_every_transform_checks_its_endpoints(self, monkeypatch):
         class Checked(Exception):

@@ -36,3 +36,28 @@ def test_move_add_only_in_sequences():
         and node.value.id == "Move"
     ]
     assert found == []
+
+
+def test_combinations_only_in_graphs():
+    # subset enumeration lives in graphs.py (dominating_subsets and
+    # exact_invariants); other modules ask it for dominating sets
+    sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
+    assert any(path.name == "graphs.py" for path in sources)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "combinations"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "itertools"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "itertools"
+            and any(alias.name == "combinations" for alias in node.names)
+        )
+    ]
+    assert found == []

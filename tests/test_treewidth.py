@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from domrecon import treewidth
-from domrecon.graphs import Graph, greedy_maximal_is, set_of
+from domrecon.graphs import Graph, LimitError, greedy_maximal_is, set_of
 from domrecon.instances import (
     gen_mynhardt,
     gen_mynhardt_pd,
@@ -456,6 +456,15 @@ class TestTransform:
         td = TreeDecomposition(3, (frozenset({0, 1}),), ())
         with pytest.raises(DecompositionError, match="appears in no bag"):
             treewidth_transform(g, td, {1}, {1}, gamma_upper=2)
+
+    def test_computed_min_ds_honours_limit(self):
+        g = path(6)
+        with pytest.raises(LimitError, match="n <= 5, got 6"):
+            treewidth_transform(g, path_td(6), {0, 2, 4}, {1, 4}, 3, limit=5)
+        with pytest.warns(UserWarning, match="trusting"):
+            treewidth_transform(
+                g, path_td(6), {0, 2, 4}, {1, 4}, 3, min_ds={1, 4}, limit=5
+            )
 
     def test_rejects_bad_min_ds(self):
         g = path(3)
