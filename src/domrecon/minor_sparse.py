@@ -56,10 +56,16 @@ class DensityWitness:
 
 
 class NotMinorSparseError(RuntimeError):
-    """The graph violated the claimed sparsity; carries the DensityWitness."""
+    """The graph violated the claimed sparsity.
 
-    def __init__(self, d: int, witness: DensityWitness):
+    Carries the DensityWitness and the sets A (current) and B (target) of
+    the failing round, so verify_density_witness(g, A, B, witness) can
+    check it.
+    """
+
+    def __init__(self, d: int, witness: DensityWitness, A, B):
         self.witness = witness
+        self.A, self.B = frozenset(A), frozenset(B)
         super().__init__(
             f"no swap exists and the search certifies a bipartite minor of"
             f" average degree >= {d}; the graph is not {d}-minor-sparse"
@@ -248,7 +254,7 @@ def minor_sparse_transform(
     while pending >= d:
         found = find_swap(g, current, target, d)
         if isinstance(found, DensityWitness):
-            raise NotMinorSparseError(d, found)
+            raise NotMinorSparseError(d, found, current, target)
         current = (current | found.s) - {found.a}
         shrink = shrink_walk(g, current, gamma_upper, target)
         moves.extend(add_then_remove(found.s, (found.a,)) + shrink)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .graphs import (
     Graph,
@@ -22,6 +23,9 @@ from .graphs import (
 
 DEFAULT_VERTEX_LIMIT = 20
 DEFAULT_SUBSET_CAP = 1 << 22
+# sources per bit-parallel BFS pass; each pass holds two generations of
+# num_nodes rows of this many bits
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -164,28 +168,58 @@ def distance(rg: ReconfigGraph, a, b) -> int | float:
     raise RuntimeError("BFS must reach a node of the same component")
 
 
-def _eccentricities(rg: ReconfigGraph, sources) -> int:
+def _eccentricities(adj) -> int:
+    """Largest BFS eccentricity over all nodes, by bit-parallel BFS.
+
+    Sources run in blocks of _BLOCK consecutive indices. Within a block,
+    reach[u] is a bitset of the block's sources within h hops of u after
+    round h, and each round replaces reach[u] by reach[u] OR the rows of
+    u's neighbours. Only neighbours of a row that grew in the last round
+    can grow in this one. The rounds that grow some row number the largest
+    eccentricity among the block's sources. A row stops growing once it
+    holds every block source of its own component, so a disconnected graph
+    needs no special case.
+    """
+    n = len(adj)
     best = 0
-    for s in sources:
-        levels = sum(1 for _ in _bfs_levels(rg.adj, s, bytearray(rg.num_nodes)))
-        best = max(best, levels - 1)
+    for lo in range(0, n, _BLOCK):
+        reach = [0] * n
+        grown = range(lo, min(lo + _BLOCK, n))
+        for bit, s in enumerate(grown):
+            reach[s] = 1 << bit
+        row_of = reach.__getitem__
+        rounds = -1  # the sources' own rows are round 0
+        while grown:
+            rounds += 1
+            ids, rows = [], []
+            for u in set().union(*[adj[w] for w in grown]):
+                old = reach[u]
+                row = reduce(or_, map(row_of, adj[u]), old)
+                if row != old:
+                    ids.append(u)
+                    rows.append(row)
+            # written after the round, so every row read above is last round's
+            for u, row in zip(ids, rows):
+                reach[u] = row
+            grown = ids
+        best = max(best, rounds)
     return best
 
 
 def diameter(rg: ReconfigGraph) -> int | float:
-    """Max BFS eccentricity; math.inf when disconnected, 0 when empty."""
-    if rg.num_nodes == 0:
-        return 0
+    """Largest eccentricity, counted as the bit-parallel BFS rounds that
+    change a row (see _eccentricities); math.inf when disconnected, 0 when
+    empty."""
     if rg.num_components > 1:
         return math.inf
-    return _eccentricities(rg, range(rg.num_nodes))
+    return _eccentricities(rg.adj)
 
 
 def max_component_diameter(rg: ReconfigGraph) -> int:
-    """Largest intra-component diameter; shown next to an infinite diameter."""
-    if rg.num_nodes == 0:
-        return 0
-    return _eccentricities(rg, range(rg.num_nodes))
+    """Largest intra-component diameter, counted as the bit-parallel BFS
+    rounds that change a row (see _eccentricities); shown next to an
+    infinite diameter."""
+    return _eccentricities(rg.adj)
 
 
 @dataclass(frozen=True)
@@ -233,9 +267,14 @@ def threshold_scan(
     records: list[ThresholdRecord] = []
     for k in range(gamma, kmax + 1):
         # nodes are sorted by size, so R_k is the prefix of R_kmax's nodes
-        # of size <= k and its rows keep the neighbours inside that prefix
+        # of size <= k and its rows keep the neighbours inside that prefix;
+        # rows with no neighbour outside are shared, not copied, to keep the
+        # peak memory of the diameter pass down
         m = sum(1 for mask in full_rg.nodes if mask.bit_count() <= k)
-        adj = tuple(tuple(w for w in row if w < m) for row in full_rg.adj[:m])
+        adj = tuple(
+            row if max(row, default=-1) < m else tuple(w for w in row if w < m)
+            for row in full_rg.adj[:m]
+        )
         comp, ncomp = _label_components(adj)
         sub = ReconfigGraph(
             graph_n=g.n,
@@ -245,7 +284,7 @@ def threshold_scan(
             comp=comp,
             num_components=ncomp,
         )
-        # one all-pairs BFS per record: when R_k is connected its diameter
+        # one all-sources BFS per record: when R_k is connected its diameter
         # is the largest component diameter
         widest = max_component_diameter(sub)
         connected = is_connected(sub)

@@ -216,6 +216,7 @@ class TestMinorSparseTransform:
         with pytest.raises(NotMinorSparseError, match="not 2-minor-sparse") as info:
             minor_sparse_transform(g, {0, 3}, {1, 4}, 2, 2)
         assert info.value.witness == C6_WITNESS
+        assert (info.value.A, info.value.B) == ({0, 3}, {1, 4})
         assert verify_density_witness(g, {0, 3}, {1, 4}, info.value.witness)
 
     def test_equal_endpoints(self):

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
 import helpers
+from domrecon import oracle
 from domrecon.graphs import Graph, LimitError, exact_invariants, set_of
+from domrecon.instances import gen_mynhardt
 from domrecon.oracle import (
     build_reconfig_graph,
     diameter,
@@ -109,28 +112,72 @@ class TestDistance:
             distance(rg, {0, 1, 2}, {1})
 
 
+def atlas_reconfig_graphs(atlas_connected):
+    """R_k for every connected graph with n <= 5 and gamma <= k <= n."""
+    for n in range(1, 6):
+        for g in atlas_connected[n]:
+            for k in range(exact_invariants(g).gamma_min, n + 1):
+                yield build_reconfig_graph(g, k)
+
+
+def naive_diameters(adj) -> tuple[int, int | float]:
+    """(max component diameter, diameter) by one deque BFS per node."""
+    _comp, ncomp = helpers.naive_label_components(adj)
+    widest = max((helpers.naive_eccentricity(adj, s) for s in range(len(adj))), default=0)
+    return widest, (widest if ncomp <= 1 else math.inf)
+
+
+def peripheral_last(rg):
+    """rg with its nodes reordered by eccentricity, the peripheral ones last."""
+    ecc = [helpers.naive_eccentricity(rg.adj, s) for s in range(rg.num_nodes)]
+    order = sorted(range(rg.num_nodes), key=ecc.__getitem__)
+    new = {old: i for i, old in enumerate(order)}
+    return dataclasses.replace(
+        rg,
+        nodes=tuple(rg.nodes[old] for old in order),
+        adj=tuple(tuple(sorted(new[w] for w in rg.adj[old])) for old in order),
+        comp=tuple(rg.comp[old] for old in order),
+    )
+
+
 class TestAgainstNaiveBFS:
-    """The level-by-level BFS agrees with the deque BFS on small R_k."""
+    """The level-by-level and bit-parallel BFS agree with the deque BFS on small R_k."""
 
     def test_every_connected_graph_up_to_five(self, atlas_connected):
         checked = 0
-        for n in range(1, 6):
-            for g in atlas_connected[n]:
-                for k in range(exact_invariants(g).gamma_min, n + 1):
-                    rg = build_reconfig_graph(g, k)
-                    comp, ncomp = helpers.naive_label_components(rg.adj)
-                    assert (rg.comp, rg.num_components) == (comp, ncomp)
-                    nodes = range(rg.num_nodes)
-                    ecc = [helpers.naive_eccentricity(rg.adj, s) for s in nodes]
-                    assert max_component_diameter(rg) == max(ecc)
-                    assert diameter(rg) == (max(ecc) if ncomp == 1 else math.inf)
-                    sets = [set_of(mask) for mask in rg.nodes]
-                    for i, a in enumerate(sets):
-                        for j, b in enumerate(sets):
-                            want = helpers.naive_distance(rg.adj, i, j)
-                            assert distance(rg, a, b) == want
-                    checked += 1
+        for rg in atlas_reconfig_graphs(atlas_connected):
+            comp, ncomp = helpers.naive_label_components(rg.adj)
+            assert (rg.comp, rg.num_components) == (comp, ncomp)
+            assert (max_component_diameter(rg), diameter(rg)) == naive_diameters(rg.adj)
+            sets = [set_of(mask) for mask in rg.nodes]
+            for i, a in enumerate(sets):
+                for j, b in enumerate(sets):
+                    want = helpers.naive_distance(rg.adj, i, j)
+                    assert distance(rg, a, b) == want
+            checked += 1
         assert checked == 126
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_source_blocks(self, atlas_connected, monkeypatch, block):
+        # blocks of 1 and 3 straddle components and leave a last partial
+        # block; sorting by eccentricity puts the peripheral nodes in it
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        checked = 0
+        for rg in atlas_reconfig_graphs(atlas_connected):
+            want = naive_diameters(rg.adj)
+            for view in (rg, peripheral_last(rg)):
+                assert (max_component_diameter(view), diameter(view)) == want
+            checked += 1
+        assert checked == 126
+
+    def test_scan_mynhardt3_to_k8(self):
+        g = gen_mynhardt(3)
+        report = threshold_scan(g, 8)
+        assert [r.k for r in report.records] == list(range(3, 9))
+        for rec in report.records:
+            adj = build_reconfig_graph(g, rec.k).adj
+            assert rec.num_components == helpers.naive_label_components(adj)[1]
+            assert (rec.max_component_diameter, rec.diameter) == naive_diameters(adj)
 
 
 class TestThresholdScan:
@@ -186,3 +233,14 @@ class TestThresholdScan:
     def test_kmax_bound(self):
         with pytest.raises(ValueError, match="kmax must be at most"):
             threshold_scan(path(3), 4)
+
+    def test_mynhardt4_pinned_records(self):
+        # (nodes, edges, components, max component diameter), computed
+        # independently with scipy shortest_path
+        report = threshold_scan(gen_mynhardt(4), 6)
+        by_k = {
+            r.k: (r.num_nodes, r.num_edges, r.num_components, r.max_component_diameter)
+            for r in report.records
+        }
+        assert by_k[5] == (2414, 4173, 2, 10)
+        assert by_k[6] == (9132, 29289, 2, 12)

@@ -6,7 +6,8 @@ minimal dominating set (members dropped in a random order while the rest
 still dominates; every minimal set is reachable this way) grown by random
 extra vertices. For every outcome the sequence must be valid, end at the
 target, stay within k, respect the method's length bound and be no shorter
-than the R_k distance the oracle reports.
+than the R_k distance the oracle reports. A NotMinorSparseError must carry
+a density witness that verifies against its A and B.
 """
 
 import math
@@ -17,7 +18,11 @@ from hypothesis import strategies as st
 import helpers
 from domrecon.general import UnreachableError, general_transform
 from domrecon.graphs import Graph, exact_invariants, is_dominating
-from domrecon.minor_sparse import NotMinorSparseError, minor_sparse_transform
+from domrecon.minor_sparse import (
+    NotMinorSparseError,
+    minor_sparse_transform,
+    verify_density_witness,
+)
 from domrecon.oracle import build_reconfig_graph, distance
 from domrecon.sequences import verify_sequence
 from domrecon.treewidth import treewidth_transform
@@ -77,8 +82,8 @@ def test_minor_sparse(data, d):
     ds, dt = endpoint(data, g, k), endpoint(data, g, k)
     try:
         seq = minor_sparse_transform(g, ds, dt, d, gamma_upper)
-    except NotMinorSparseError:
-        # the witness is checked against A and B, which the error does not carry
+    except NotMinorSparseError as exc:
+        assert verify_density_witness(g, exc.A, exc.B, exc.witness)
         return
     if d > gamma_upper:
         bound = 10 * g.n

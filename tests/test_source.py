@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import domrecon
@@ -60,4 +61,26 @@ def test_combinations_only_in_graphs():
             and any(alias.name == "combinations" for alias in node.names)
         )
     ]
+    assert found == []
+
+
+def test_stdlib_only_imports():
+    # the runtime has no third-party dependencies: every import is the
+    # package itself (relative or absolute) or a standard-library module
+    sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"domrecon"}
+            ]
     assert found == []
