@@ -79,13 +79,12 @@ def mask_of(vertices) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
+    """The set bits of mask; costs one step per set bit, not per bit."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return frozenset(out)
 
 
@@ -192,6 +191,66 @@ def is_dominating(g: Graph, s) -> bool:
     for v in s:
         cov |= g.nb_mask[v]
     return cov == g.full_mask
+
+
+class CoverCounts:
+    """A vertex set kept together with how often each vertex is dominated.
+
+    counts[w] is the number of members in w's closed neighborhood, and
+    undominated the number of vertices whose count is 0, so `dominating`
+    is O(1) and add(v) / remove(v) cost O(deg v). A bad move (adding a
+    member, removing a non-member) raises the same ValueError text as
+    sequences.apply_move and leaves the state unchanged; adding a vertex
+    outside 0..n-1 raises IndexError, also unchanged. Use it where one
+    set changes a vertex at a time and is asked after each change whether
+    it still dominates; is_dominating and coverage stay the one-shot
+    answers.
+    """
+
+    __slots__ = ("g", "members", "mask", "counts", "undominated")
+
+    def __init__(self, g: Graph, s=()):
+        self.g = g
+        self.members: set[int] = set()
+        self.mask = 0
+        self.counts = [0] * g.n
+        self.undominated = g.n
+        for v in s:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, v) -> bool:
+        return v in self.members
+
+    @property
+    def dominating(self) -> bool:
+        return self.undominated == 0
+
+    def add(self, v: int) -> None:
+        if v in self.members:
+            raise ValueError(f"cannot add {v}: already present")
+        if not 0 <= v < self.g.n:
+            raise IndexError(f"vertex {v} out of range for n={self.g.n}")
+        counts = self.counts
+        for w in (v, *self.g._adj[v]):
+            if not counts[w]:
+                self.undominated -= 1
+            counts[w] += 1
+        self.members.add(v)
+        self.mask |= 1 << v
+
+    def remove(self, v: int) -> None:
+        if v not in self.members:
+            raise ValueError(f"cannot remove {v}: not present")
+        counts = self.counts
+        for w in (v, *self.g._adj[v]):
+            counts[w] -= 1
+            if not counts[w]:
+                self.undominated += 1
+        self.members.remove(v)
+        self.mask ^= 1 << v
 
 
 def coverage(g: Graph, s) -> tuple[int, int]:

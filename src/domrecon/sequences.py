@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, greedy_removals, is_dominating
+from .graphs import CoverCounts, Graph, greedy_removals, is_dominating
 
 ADD = "add"
 REMOVE = "remove"
@@ -51,15 +51,18 @@ class Move:
         return f"{sign}{self.vertex}"
 
 
-def apply_move(s: frozenset[int], move: Move) -> frozenset[int]:
-    """Apply one move; reject adding a present vertex or removing an absent one."""
+def _check_move(s, move: Move) -> None:
     if move.kind == ADD:
         if move.vertex in s:
             raise ValueError(f"cannot add {move.vertex}: already present")
-        return s | {move.vertex}
-    if move.vertex not in s:
+    elif move.vertex not in s:
         raise ValueError(f"cannot remove {move.vertex}: not present")
-    return s - {move.vertex}
+
+
+def apply_move(s: frozenset[int], move: Move) -> frozenset[int]:
+    """Apply one move; reject adding a present vertex or removing an absent one."""
+    _check_move(s, move)
+    return s | {move.vertex} if move.kind == ADD else s - {move.vertex}
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,18 @@ class ReconfigSequence:
 
     @property
     def end(self) -> frozenset[int]:
-        for s in self.states():
-            pass
-        return s
+        """The set after the last move, replayed on one mutable set: O(moves).
+
+        Raises apply_move's ValueError at the first malformed move.
+        """
+        s = set(self.start)
+        for mv in self.moves:
+            _check_move(s, mv)
+            if mv.kind == ADD:
+                s.add(mv.vertex)
+            else:
+                s.remove(mv.vertex)
+        return frozenset(s)
 
     def states(self):
         """Yield the start set and the set after each move."""
@@ -179,31 +191,41 @@ def verify_sequence(
 
     Step 0 is the start set, step i the set after move i. Only the first
     violation is recorded; replay continues past domination or size
-    violations but must stop at a malformed move.
+    violations but must stop at a malformed move. The replay runs on one
+    CoverCounts, so it costs O(|start| + sum of deg v over the moved
+    vertices v) plus one frozenset for the end.
     """
     budget = seq.k if k is None else k
     bad_index: int | None = None
     bad_reason: str | None = None
-
-    def note(index: int, reason: str):
-        nonlocal bad_index, bad_reason
-        if bad_index is None:
-            bad_index, bad_reason = index, reason
-
     max_size = 0
+    state = CoverCounts(g, seq.start)
+
+    def inspect(index: int):
+        nonlocal bad_index, bad_reason, max_size
+        size = len(state)
+        max_size = max(max_size, size)
+        if bad_index is None:
+            if size > budget:
+                bad_index, bad_reason = index, SIZE_EXCEEDS_K
+            elif not state.dominating:
+                bad_index, bad_reason = index, NOT_DOMINATING
+
+    inspect(0)
     end: frozenset[int] | None = None
-    try:
-        for i, current in enumerate(seq.states()):
-            max_size = max(max_size, len(current))
-            if len(current) > budget:
-                note(i, SIZE_EXCEEDS_K)
-            if bad_index is None and not is_dominating(g, current):
-                note(i, NOT_DOMINATING)
-            end = current
-    except ValueError:
-        # states() stopped at the malformed move i + 1
-        note(i + 1, BAD_MOVE)
-        end = None
+    for i, mv in enumerate(seq.moves, start=1):
+        try:
+            if mv.kind == ADD:
+                state.add(mv.vertex)
+            else:
+                state.remove(mv.vertex)
+        except ValueError:
+            if bad_index is None:
+                bad_index, bad_reason = i, BAD_MOVE
+            break
+        inspect(i)
+    else:
+        end = frozenset(state.members)
     end_matches = None if expected_end is None or end is None else end == frozenset(expected_end)
     return VerificationReport(
         valid=bad_index is None,

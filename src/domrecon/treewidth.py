@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
+    CoverCounts,
     Graph,
     LimitError,
     dominating_subsets,
@@ -144,9 +145,11 @@ class NormalizedTD:
     The root is the last bag; parent[i] is the tree parent's index (always
     larger than i) or None for the root. No bag contains an adjacent bag.
 
-    Three values the sweep reads at every bag are computed once, on first
+    Four values the sweep reads at every bag are computed once, on first
     use, and cached on the instance: `width`, `tops` (tops[v] is the
-    highest index of a bag holding v, -1 if none) and `left_masks`.
+    highest index of a bag holding v, -1 if none), `retiring`
+    (retiring[j] lists the vertices v with tops[v] == j, ascending) and
+    `left_masks`.
     left_masks[j] has bit v set iff bag tops[v] lies in j's subtree (for a
     valid decomposition: iff v is held only by bags of that subtree). It
     is built leaves first by the rule left[j] = (bits of v with
@@ -173,6 +176,14 @@ class NormalizedTD:
             for v in bag:
                 tops[v] = idx
         return tuple(tops)
+
+    @cached_property
+    def retiring(self) -> tuple[tuple[int, ...], ...]:
+        retiring: list[list[int]] = [[] for _ in self.bags]
+        for v, top in enumerate(self.tops):
+            if top >= 0:
+                retiring[top].append(v)
+        return tuple(map(tuple, retiring))
 
     @cached_property
     def left_masks(self) -> tuple[int, ...]:
@@ -303,19 +314,27 @@ def classify_left(
     return left, right
 
 
-def _check_property(g, ntd, j, d_j, target, gamma_upper):
-    if not is_dominating(g, d_j):
+def _check_property(g, ntd, j, state, target, gamma_upper, candidates=None):
+    """The sweep invariant at bag j, on a CoverCounts state.
+
+    The retired check looks at `candidates` (every member when None): a
+    member v with tops[v] < j must lie in the target.
+    """
+    if not state.dominating:
         raise SweepError(f"working set at bag {j} is not dominating")
-    if len(d_j) > gamma_upper:
+    if len(state) > gamma_upper:
         raise SweepError(
-            f"working set at bag {j} has size {len(d_j)} > Gamma = {gamma_upper}"
+            f"working set at bag {j} has size {len(state)} > Gamma = {gamma_upper}"
         )
     tops = ntd.tops
-    retired = {v for v in d_j if tops[v] < j}
-    if not retired <= target:
+    members = state.members
+    if candidates is None:
+        candidates = members
+    stray = [v for v in candidates if v in members and tops[v] < j and v not in target]
+    if stray:
         raise SweepError(
             f"working set at bag {j} keeps retired vertices"
-            f" {sorted(v + 1 for v in retired - target)} outside the target"
+            f" {sorted(v + 1 for v in stray)} outside the target"
         )
 
 
@@ -326,7 +345,8 @@ def tw_step(
     d_j,
     target,
     gamma_upper: int,
-) -> tuple[tuple[Move, ...], frozenset[int]]:
+    target_mask: int | None = None,
+) -> tuple[tuple[Move, ...], frozenset[int] | CoverCounts]:
     """One sweep step across bag j (any bag except the root).
 
     Classifies bag j's vertices, pulls in the target's left vertices plus
@@ -336,45 +356,67 @@ def tw_step(
     checks the set this step returns), the peak size Gamma + tw + 1 and the
     move budget 2 (tw + 1); failures raise SweepError since they can only
     come from inconsistent inputs.
+
+    d_j is a set, or the CoverCounts that treewidth_transform's sweep
+    carries from bag to bag, with target_mask = mask_of(target) built once.
+    A carried state is updated in place and returned, and its entry check
+    looks for retired vertices only among those whose top bag is j - 1:
+    the step at j - 1 checked the rest and added only target vertices or
+    vertices whose top bag lies above j - 1. Such a step costs O(moved
+    vertices' degrees) plus a few n-bit mask operations, independent of
+    the size of the working set.
     """
-    d_j, target = frozenset(d_j), frozenset(target)
+    target = frozenset(target)
     if not 0 <= j < ntd.num_bags - 1:
         raise ValueError(f"tw_step applies to bags 0..{ntd.num_bags - 2}, got {j}")
+    carried = isinstance(d_j, CoverCounts)
+    state = d_j if carried else CoverCounts(g, d_j)
+    if target_mask is None:
+        target_mask = mask_of(target)
     tw = ntd.width
-    _check_property(g, ntd, j, d_j, target, gamma_upper)
+    candidates = (ntd.retiring[j - 1] if j else ()) if carried else None
+    _check_property(g, ntd, j, state, target, gamma_upper, candidates)
     left = ntd.left_masks[j]
     bag = ntd.bags[j]
 
-    a_out = frozenset(v for v in bag & d_j if v not in target and left >> v & 1)
-    b_bag = frozenset(v for v in bag if not left >> v & 1)
-    c_in = frozenset(v for v in target - d_j if left >> v & 1)
-    c_mask = mask_of(c_in)
-    b1 = frozenset(v for v in b_bag - target if g.adj_mask[v] & c_mask)
-    b2 = b_bag & d_j
-    b3 = b_bag - b1 - b2
-
-    additions = c_in | b3
-    if additions & d_j:
+    a_out = [v for v in bag if v in state and v not in target and left >> v & 1]
+    # c_in: target vertices left of j still missing; b3: bag vertices right
+    # of j, missing, and in the target or without a neighbour in c_in
+    c_mask = target_mask & left & ~state.mask
+    b3 = [
+        v
+        for v in bag
+        if not left >> v & 1
+        and v not in state
+        and (v in target or not g.adj_mask[v] & c_mask)
+    ]
+    additions = set_of(c_mask).union(b3)
+    if any(v in state for v in additions):
         raise SweepError(f"additions at bag {j} are already in the working set")
-    peak = d_j | additions
-    if len(peak) > gamma_upper + tw + 1:
+    peak = len(state) + len(additions)
+    if peak > gamma_upper + tw + 1:
         raise SweepError(
-            f"peak size {len(peak)} exceeds Gamma + tw + 1 ="
+            f"peak size {peak} exceeds Gamma + tw + 1 ="
             f" {gamma_upper + tw + 1} at bag {j}; check Gamma"
         )
-    d_prime = (d_j - a_out) | additions
-    if not is_dominating(g, d_prime):
+    for v in additions:
+        state.add(v)
+    for v in a_out:
+        state.remove(v)
+    if not state.dominating:
         raise SweepError(
             f"swap at bag {j} broke domination; the decomposition or the"
             " target set is inconsistent"
         )
-    shrink = shrink_walk(g, d_prime, gamma_upper, target)
+    shrink = shrink_walk(g, state.members, gamma_upper, target)
+    for mv in shrink:
+        state.remove(mv.vertex)
     moves = add_then_remove(additions, a_out) + shrink
     if len(moves) > 2 * (tw + 1):
         raise SweepError(
             f"bag {j} needed {len(moves)} moves, above the 2 (tw + 1) budget"
         )
-    return moves, d_prime.difference(mv.vertex for mv in shrink)
+    return moves, state if carried else frozenset(state.members)
 
 
 def final_merge(
@@ -393,7 +435,7 @@ def final_merge(
     d_b, target = frozenset(d_b), frozenset(target)
     tw = ntd.width
     root = ntd.num_bags - 1
-    _check_property(g, ntd, root, d_b, target, gamma_upper)
+    _check_property(g, ntd, root, CoverCounts(g, d_b), target, gamma_upper)
     surplus = d_b - target
     missing = target - d_b
     if not surplus <= ntd.bags[root]:
@@ -467,15 +509,18 @@ def treewidth_transform(
                 stacklevel=2,
             )
     check_endpoints(g, ds, dt, k)
+    target_mask = mask_of(target)
 
     def sweep(start) -> ReconfigSequence:
         head = pad_to_size(g, start, min(len(start), gamma_upper), k)
-        current = head.end
+        state = CoverCounts(g, head.end)
         moves: list[Move] = []
         for j in range(ntd.num_bags - 1):
-            step_moves, current = tw_step(g, ntd, j, current, target, gamma_upper)
+            step_moves, state = tw_step(
+                g, ntd, j, state, target, gamma_upper, target_mask
+            )
             moves.extend(step_moves)
-        moves.extend(final_merge(g, ntd, current, target, gamma_upper))
+        moves.extend(final_merge(g, ntd, state.members, target, gamma_upper))
         if len(moves) > 2 * g.n * (tw + 1):
             raise SweepError(
                 f"sweep used {len(moves)} moves, above the 2 n (tw + 1) bound"

@@ -16,6 +16,13 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from domrecon import Graph
+from domrecon.sequences import (
+    BAD_MOVE,
+    NOT_DOMINATING,
+    SIZE_EXCEEDS_K,
+    ReconfigSequence,
+    VerificationReport,
+)
 from domrecon.treewidth import TreeDecomposition
 
 
@@ -122,6 +129,47 @@ def naive_pop_removable(g: Graph, current: set[int], prefer_outside) -> int:
             current.remove(v)
             return v
     raise ValueError("no removable vertex")
+
+
+def naive_verify_sequence(
+    g: Graph, seq: ReconfigSequence, expected_end=None, k: int | None = None
+) -> VerificationReport:
+    """verify_sequence as a replay over one frozenset per state (states())."""
+    budget = seq.k if k is None else k
+    bad_index = bad_reason = None
+
+    def note(index: int, reason: str):
+        nonlocal bad_index, bad_reason
+        if bad_index is None:
+            bad_index, bad_reason = index, reason
+
+    max_size = 0
+    end = None
+    try:
+        for i, current in enumerate(seq.states()):
+            max_size = max(max_size, len(current))
+            if len(current) > budget:
+                note(i, SIZE_EXCEEDS_K)
+            if bad_index is None and not _dominates(g, current):
+                note(i, NOT_DOMINATING)
+            end = current
+    except ValueError:
+        # states() stopped at the malformed move i + 1
+        note(i + 1, BAD_MOVE)
+        end = None
+    end_matches = (
+        None if expected_end is None or end is None else end == frozenset(expected_end)
+    )
+    return VerificationReport(
+        valid=bad_index is None,
+        violation_index=bad_index,
+        violation_reason=bad_reason,
+        length=len(seq.moves),
+        max_size=max_size,
+        end=end,
+        end_matches=end_matches,
+        k=budget,
+    )
 
 
 def naive_find_swap_pair(g: Graph, d1, d2):

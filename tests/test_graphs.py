@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from domrecon.graphs import (
+    CoverCounts,
     Graph,
     GraphFormatError,
     LimitError,
@@ -194,6 +197,80 @@ class TestCoverage:
         assert twice == mask_of({0, 1, 2})
         # private sets: 0 has none, 1 has none, 3 keeps {3}
         assert [g.nb_mask[v] & ~twice for v in (0, 1, 3)] == [0, 0, mask_of({3})]
+
+
+@st.composite
+def graphs_up_to_10(draw) -> Graph:
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, sorted(edges))
+
+
+def snapshot(state: CoverCounts):
+    return set(state.members), state.mask, list(state.counts), state.undominated
+
+
+def assert_recounted(g: Graph, state: CoverCounts):
+    members = state.members
+    mask = mask_of(members)
+    assert state.mask == mask
+    assert len(state) == len(members)
+    assert state.counts == [(g.nb_mask[w] & mask).bit_count() for w in range(g.n)]
+    assert state.undominated == state.counts.count(0)
+    assert state.dominating == is_dominating(g, members)
+
+
+class TestCoverCounts:
+    def test_path(self):
+        g = path(4)
+        state = CoverCounts(g, {0})
+        assert state.counts == [1, 1, 0, 0] and state.undominated == 2
+        assert not state.dominating
+        state.add(3)
+        assert state.counts == [1, 1, 1, 1] and state.dominating
+        assert 3 in state and 2 not in state and len(state) == 2
+        state.remove(0)
+        assert state.counts == [0, 0, 1, 1] and state.undominated == 2
+        assert state.members == {3} and state.mask == 0b1000
+
+    def test_bad_moves_leave_the_state_unchanged(self):
+        g = path(4)
+        state = CoverCounts(g, {1, 3})
+        before = snapshot(state)
+        # the texts apply_move raises, so verify_sequence can share them
+        with pytest.raises(ValueError, match=r"^cannot add 1: already present$"):
+            state.add(1)
+        with pytest.raises(ValueError, match=r"^cannot remove 0: not present$"):
+            state.remove(0)
+        for v in (-1, 4):
+            with pytest.raises(IndexError, match="out of range for n=4"):
+                state.add(v)
+        assert snapshot(state) == before
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_random_walk_matches_recount(self, data):
+        g = data.draw(graphs_up_to_10())
+        start = data.draw(st.sets(st.integers(0, g.n - 1)))
+        state = CoverCounts(g, start)
+        assert state.members == start
+        assert_recounted(g, state)
+        steps = data.draw(
+            st.lists(st.tuples(st.booleans(), st.integers(0, g.n - 1)), max_size=40)
+        )
+        for adding, v in steps:
+            present = v in state
+            if adding == present:
+                before = snapshot(state)
+                with pytest.raises(ValueError):
+                    state.add(v) if adding else state.remove(v)
+                assert snapshot(state) == before
+            elif adding:
+                state.add(v)
+            else:
+                state.remove(v)
+            assert_recounted(g, state)
 
 
 class TestAgainstNaive:

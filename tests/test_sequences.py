@@ -1,5 +1,10 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
 from domrecon import general, graphs, minor_sparse, sequences, treewidth
 from domrecon.graphs import Graph, exact_invariants
 from domrecon.sequences import (
@@ -248,6 +253,91 @@ class TestVerify:
         assert report.end is None
         assert report.end_matches is None
         assert report.max_size == 1
+
+
+def same_report(g, seq, expected_end=None, k=None):
+    """verify_sequence equals the frozenset replay field for field."""
+    got = verify_sequence(g, seq, expected_end=expected_end, k=k)
+    want = helpers.naive_verify_sequence(g, seq, expected_end=expected_end, k=k)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    return got
+
+
+@st.composite
+def sequences_on_small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, sorted(edges))
+    start = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    # mostly toggles, which are valid moves; a flip of the kind is a bad move
+    current = set(start)
+    moves = []
+    for v, bad in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 9)), max_size=30)
+    ):
+        mv = Move.remove(v) if v in current else Move.add(v)
+        if bad == 0:
+            mv = mv.flipped()
+        moves.append(mv)
+        current ^= {v}
+    k = draw(st.integers(0, n))
+    return g, ReconfigSequence(start, tuple(moves), k)
+
+
+class TestVerifyAgainstNaive:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(sequences_on_small_graphs(), st.data())
+    def test_random_sequences(self, case, data):
+        g, seq = case
+        expected = data.draw(
+            st.one_of(st.none(), st.sets(st.integers(0, g.n - 1)).map(frozenset))
+        )
+        k = data.draw(st.one_of(st.none(), st.integers(0, g.n)))
+        report = same_report(g, seq, expected_end=expected, k=k)
+        if report.end is None:
+            # the replay stopped at a bad move; end raises the same error
+            with pytest.raises(ValueError) as replayed:
+                list(seq.states())
+            with pytest.raises(ValueError, match=f"^{replayed.value}$"):
+                seq.end
+        else:
+            assert seq.end == report.end
+            same_report(g, seq, expected_end=report.end, k=k)
+
+    @pytest.mark.parametrize(
+        "start, moves, k, expected_end, index, reason",
+        [
+            # bad move at index 1, then later, after a size violation
+            ({1}, [Move.add(1)], 3, {1}, 1, BAD_MOVE),
+            ({1}, [Move.add(0), Move.add(2), Move.remove(0), Move.remove(0)], 3,
+             None, 4, BAD_MOVE),
+            ({1}, [Move.add(0), Move.add(2), Move.add(0)], 2, None, 2, SIZE_EXCEEDS_K),
+            # size > k at index 0, and a non-dominating start
+            ({0, 1, 2}, [Move.remove(0)], 2, {1, 2}, 0, SIZE_EXCEEDS_K),
+            ({0}, [Move.add(2)], 2, {0, 2}, 0, NOT_DOMINATING),
+            # end_matches None, True, False on valid sequences
+            ({1}, [Move.add(0)], 2, None, None, None),
+            ({1}, [Move.add(0)], 2, {0, 1}, None, None),
+            ({1}, [Move.add(0)], 2, {1}, None, None),
+        ],
+    )
+    def test_cases(self, start, moves, k, expected_end, index, reason):
+        seq = ReconfigSequence(frozenset(start), tuple(moves), k)
+        report = same_report(path(3), seq, expected_end=expected_end)
+        assert (report.violation_index, report.violation_reason) == (index, reason)
+        if reason is not None:
+            return
+        assert report.end_matches == (
+            None if expected_end is None else report.end == frozenset(expected_end)
+        )
+
+    def test_end_matches_values(self):
+        seq = ReconfigSequence(frozenset({1}), (Move.add(0),), 2)
+        assert [
+            same_report(path(3), seq, expected_end=e).end_matches
+            for e in (None, {0, 1}, {1})
+        ] == [None, True, False]
 
 
 class TestSequenceFormat:

@@ -1,19 +1,21 @@
 import functools
+import hashlib
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import helpers
-from domrecon import treewidth
-from domrecon.graphs import Graph, LimitError, greedy_maximal_is, set_of
+from domrecon import graphs, treewidth
+from domrecon.graphs import CoverCounts, Graph, LimitError, greedy_maximal_is, set_of
 from domrecon.instances import (
     gen_mynhardt,
     gen_mynhardt_pd,
     gen_mynhardt_td,
     gen_random_tree,
 )
-from domrecon.sequences import Move, verify_sequence
+from domrecon.sequences import Move, format_sequence, verify_sequence
 from domrecon.treewidth import (
     DecompositionError,
     NormalizedTD,
@@ -179,6 +181,9 @@ class TestCachedStructures:
         assert (ntd.bags, ntd.parent) == (bags, parents)
         tops = helpers.naive_vertex_tops(ntd)
         assert ntd.tops == tuple(tops)
+        assert ntd.retiring == tuple(
+            tuple(v for v in range(ntd.n) if tops[v] == j) for j in range(ntd.num_bags)
+        )
         assert ntd.width == max(len(bag) for bag in bags) - 1
         for j in range(ntd.num_bags):
             left, right = helpers.naive_classify_left(ntd, j)
@@ -272,7 +277,7 @@ class TestSweepReadsCachedStructures:
 
         monkeypatch.setattr(treewidth, "classify_left", forbidden)
         builds = Counter()
-        for name in ("tops", "left_masks"):
+        for name in ("tops", "retiring", "left_masks"):
             cached = NormalizedTD.__dict__[name]
             assert isinstance(cached, functools.cached_property)
             compute = cached.func
@@ -295,7 +300,7 @@ class TestSweepReadsCachedStructures:
         report = verify_sequence(g, seq, expected_end=min_ds)
         assert report.valid and report.end_matches
         # one normalized decomposition per transform, each structure built once
-        assert builds == {"tops": 1, "left_masks": 1}
+        assert builds == {"tops": 1, "retiring": 1, "left_masks": 1}
 
 
 class TestOneCheckPerBoundary:
@@ -337,6 +342,77 @@ class TestOneCheckPerBoundary:
                 monkeypatch, g, td, ds, dt, helpers.milp_gamma_upper(g), min_ds=min_ds
             )
         assert b > 20
+
+
+def tree_case(n: int, seed: int):
+    """A random tree, its width-1 decomposition and MILP certificates."""
+    g = gen_random_tree(n, seed=seed)
+    _, min_ds = helpers.milp_gamma(g)
+    return g, helpers.tree_natural_decomposition(g), min_ds, helpers.milp_gamma_upper(g)
+
+
+def transform_quietly(g, td, gamma_upper, min_ds):
+    # n > 24: the certificate min_ds is trusted with a warning
+    ds, dt = greedy_maximal_is(g), greedy_maximal_is(g, frozenset({g.n - 1}))
+    with pytest.warns(UserWarning, match="trusting"):
+        return treewidth_transform(g, td, ds, dt, gamma_upper, min_ds=min_ds)
+
+
+class TestLinearity:
+    """The sweep and the verifier carry one CoverCounts instead of asking
+    is_dominating per bag or per state, so its call count does not grow
+    with the number of bags."""
+
+    def count_calls(self, n):
+        g, td, min_ds, gamma_upper = tree_case(n, seed=n)
+        calls = Counter()
+        original = graphs.is_dominating
+
+        def counted(*args):
+            calls[phase] += 1
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            # every binding, `from .graphs import is_dominating` copies included
+            for name, module in list(sys.modules.items()):
+                if name.startswith("domrecon") and module.__dict__.get("is_dominating") is original:
+                    mp.setattr(module, "is_dominating", counted)
+            phase = "transform"
+            seq = transform_quietly(g, td, gamma_upper, min_ds)
+            phase = "verify"
+            assert verify_sequence(g, seq).valid
+        return normalize_td(td).num_bags, calls
+
+    def test_calls_do_not_grow_with_bags(self):
+        small_bags, small = self.count_calls(150)
+        large_bags, large = self.count_calls(300)
+        assert large_bags > small_bags + 100
+        assert small["transform"] == large["transform"] > 0
+        assert small["verify"] == large["verify"] == 0
+
+
+class TestGoldenOutput:
+    """Pins the exact sequence files: the deterministic tie-breaking (lowest
+    id first, greedy restart order) is part of the sweep's contract."""
+
+    def test_random_tree_400(self):
+        g, td, min_ds, gamma_upper = tree_case(400, seed=400)
+        seq = transform_quietly(g, td, gamma_upper, min_ds)
+        digest = hashlib.sha256(format_sequence(seq).encode()).hexdigest()
+        assert (len(seq), digest) == (
+            740,
+            "6fa860eaf0b4e07a13dfad508e6224e5a1811294f655a32f9e01a56e1681fa86",
+        )
+
+    def test_mynhardt_6(self):
+        g = gen_mynhardt(6)
+        _, min_ds = helpers.milp_gamma(g)
+        seq = transform_quietly(g, gen_mynhardt_td(6), helpers.milp_gamma_upper(g), min_ds)
+        digest = hashlib.sha256(format_sequence(seq).encode()).hexdigest()
+        assert (len(seq), digest) == (
+            566,
+            "5a66a2ad8591323a034c2491aecb0682e5d643655561c7ee780d5c812c4443c6",
+        )
 
 
 class TestClassifyLeft:
@@ -388,6 +464,28 @@ class TestTwStep:
             tw_step(g, ntd, 0, {0}, {1}, gamma_upper=2)
         with pytest.raises(SweepError, match="size 3 > Gamma"):
             tw_step(g, ntd, 0, {0, 1, 2}, {1}, gamma_upper=2)
+
+    def test_carried_state_is_updated_in_place(self):
+        g = path(3)
+        ntd = normalize_td(path_td(3))
+        state = CoverCounts(g, {0, 2})
+        moves, returned = tw_step(g, ntd, 0, state, {1}, gamma_upper=2)
+        assert moves == (Move.add(1), Move.remove(0))
+        assert returned is state and state.members == {1, 2}
+
+    def test_retired_check(self):
+        # path 0-1-2-3-4, bags {0,1} {1,2} {2,3} {3,4}; vertex 1 retires at bag 1
+        g = path(5)
+        ntd = normalize_td(path_td(5))
+        assert ntd.retiring == ((0,), (1,), (2,), (3, 4))
+        with pytest.raises(SweepError, match=r"keeps retired vertices \[2\]"):
+            tw_step(g, ntd, 2, {1, 3}, {0, 3}, gamma_upper=2)
+        # a carried state is checked only for the vertices retired at bag 1
+        with pytest.raises(SweepError, match=r"keeps retired vertices \[2\]"):
+            tw_step(g, ntd, 2, CoverCounts(g, {1, 3}), {0, 3}, gamma_upper=2)
+        # a plain set gets the full check, vertex 0 included
+        with pytest.raises(SweepError, match=r"keeps retired vertices \[1\]"):
+            tw_step(g, ntd, 2, {0, 3, 4}, {1, 4}, gamma_upper=3)
 
 
 class TestFinalMerge:
