@@ -191,15 +191,29 @@ def verify_sequence(
 
     Step 0 is the start set, step i the set after move i. Only the first
     violation is recorded; replay continues past domination or size
-    violations but must stop at a malformed move. The replay runs on one
+    violations but must stop at a malformed move: one that adds a present
+    vertex, removes an absent one or names a vertex outside 0..n-1 (a start
+    vertex outside that range is a bad move at step 0). The replay runs on one
     CoverCounts, so it costs O(|start| + sum of deg v over the moved
     vertices v) plus one frozenset for the end.
     """
     budget = seq.k if k is None else k
+    try:
+        state = CoverCounts(g, seq.start)
+    except IndexError:
+        return VerificationReport(
+            valid=False,
+            violation_index=0,
+            violation_reason=BAD_MOVE,
+            length=len(seq.moves),
+            max_size=len(seq.start),
+            end=None,
+            end_matches=None,
+            k=budget,
+        )
     bad_index: int | None = None
     bad_reason: str | None = None
     max_size = 0
-    state = CoverCounts(g, seq.start)
 
     def inspect(index: int):
         nonlocal bad_index, bad_reason, max_size
@@ -219,7 +233,7 @@ def verify_sequence(
                 state.add(mv.vertex)
             else:
                 state.remove(mv.vertex)
-        except ValueError:
+        except (ValueError, IndexError):
             if bad_index is None:
                 bad_index, bad_reason = i, BAD_MOVE
             break

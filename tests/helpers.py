@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from domrecon import Graph
+from domrecon.graphs import GraphInvariants, LimitError
 from domrecon.sequences import (
     BAD_MOVE,
     NOT_DOMINATING,
@@ -193,6 +194,59 @@ def all_dominating_sets(g: Graph) -> list[frozenset[int]]:
 
 def all_minimal_dominating_sets(g: Graph) -> list[frozenset[int]]:
     return [s for s in all_dominating_sets(g) if naive_is_minimal_dominating(g, s)]
+
+
+def naive_exact_invariants(g: Graph, limit: int = 24) -> GraphInvariants:
+    """exact_invariants as a Python loop over all 2**n subsets.
+
+    Subsets come in size-then-lexicographic order, so each witness is the
+    first optimal set met; minimality is the O(|S|^2) drop-each-member test.
+    """
+    n = g.n
+    if n > limit:
+        raise LimitError(f"exact_invariants needs n <= {limit}, got {n}")
+    nb = g.nb_mask
+    adj = g.adj_mask
+    full = g.full_mask
+    gamma = None
+    min_ds: tuple[int, ...] | None = None
+    upper_size, upper_ds = -1, None
+    alpha_size, max_is = 0, ()
+    vertices = range(n)
+    for size in range(n + 1):
+        alpha_alive = alpha_size >= size - 1
+        found_is = False
+        for combo in itertools.combinations(vertices, size):
+            cov = 0
+            for v in combo:
+                cov |= nb[v]
+            if cov == full:
+                if gamma is None:
+                    gamma, min_ds = size, combo
+                if size > upper_size and naive_is_minimal_dominating(g, combo):
+                    upper_size, upper_ds = size, combo
+            if alpha_alive and not found_is:
+                mask = 0
+                independent = True
+                for v in combo:
+                    if adj[v] & mask:
+                        independent = False
+                        break
+                    mask |= 1 << v
+                if independent:
+                    found_is = True
+                    if size > alpha_size or size == 0:
+                        alpha_size, max_is = size, combo
+    if gamma is None or upper_ds is None:
+        raise RuntimeError("the full vertex set always dominates")
+    return GraphInvariants(
+        gamma_min=gamma,
+        gamma_upper=upper_size,
+        alpha=alpha_size,
+        witness_min_ds=frozenset(min_ds),
+        witness_upper_ds=frozenset(upper_ds),
+        witness_max_is=frozenset(max_is),
+    )
 
 
 def naive_label_components(adj) -> tuple[tuple[int, ...], int]:

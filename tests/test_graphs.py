@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -382,6 +384,41 @@ class TestExactInvariants:
         with pytest.raises(LimitError, match="n <= 3"):
             exact_invariants(path(4), limit=3)
         assert exact_invariants(path(4), limit=4).gamma_min == 2
+
+    def test_limit_checked_before_any_family(self):
+        # a 2**40-bit family would not fit in memory: the check comes first
+        with pytest.raises(LimitError, match="n <= 24, got 40"):
+            exact_invariants(Graph(40, []))
+
+    def test_against_reference_on_the_atlas(self):
+        graphs = [helpers.nx_to_graph(G) for G in nx.graph_atlas_g()[1:]]
+        assert len(graphs) == 1252
+        assert any(not is_connected(g) for g in graphs)
+        for g in graphs:
+            assert exact_invariants(g) == helpers.naive_exact_invariants(g)
+
+    def test_against_reference_on_random_graphs(self):
+        rng = random.Random(8)
+        for n in range(1, 15):
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            graphs = [Graph(n, []), Graph(n, pairs)]
+            for density in (0.15, 0.3, 0.5):
+                graphs.append(Graph(n, [e for e in pairs if rng.random() < density]))
+            for g in graphs:
+                assert exact_invariants(g) == helpers.naive_exact_invariants(g)
+
+    def test_no_per_subset_loop(self, monkeypatch):
+        # the families cover all 2**n subsets at once; a loop over
+        # combinations, even a hidden one, would hit the patched function
+        rng = random.Random(16)
+        g = Graph(16, [(u, v) for v in range(16) for u in range(v) if rng.random() < 0.25])
+        want = helpers.naive_exact_invariants(g)
+
+        def forbidden(*args):
+            raise AssertionError("exact_invariants enumerated subsets")
+
+        monkeypatch.setattr(itertools, "combinations", forbidden)
+        assert exact_invariants(g) == want
 
     def test_against_milp_on_small_connected_graphs(self, atlas_connected):
         for n in range(1, 7):

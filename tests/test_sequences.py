@@ -254,6 +254,23 @@ class TestVerify:
         assert report.end_matches is None
         assert report.max_size == 1
 
+    @pytest.mark.parametrize(
+        "start, moves, index",
+        [
+            ({1}, (Move.add(5),), 1),
+            ({7}, (), 0),
+            ({1}, (Move.add(-1),), 1),
+        ],
+    )
+    def test_out_of_range_vertex_is_a_bad_move(self, start, moves, index):
+        seq = ReconfigSequence(frozenset(start), moves + (Move.add(0),), 3)
+        report = verify_sequence(path(3), seq, expected_end={0, 1})
+        assert not report.valid
+        assert (report.violation_index, report.violation_reason) == (index, BAD_MOVE)
+        assert report.end is None
+        assert report.end_matches is None
+        assert report.max_size == 1
+
 
 def same_report(g, seq, expected_end=None, k=None):
     """verify_sequence equals the frozenset replay field for field."""

@@ -40,8 +40,8 @@ def test_move_add_only_in_sequences():
 
 
 def test_combinations_only_in_graphs():
-    # subset enumeration lives in graphs.py (dominating_subsets and
-    # exact_invariants); other modules ask it for dominating sets
+    # subset enumeration lives in graphs.py (dominating_subsets); other
+    # modules ask it for dominating sets
     sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
     assert any(path.name == "graphs.py" for path in sources)
     found = [
