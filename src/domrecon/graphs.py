@@ -317,7 +317,10 @@ def dominating_subsets(g: Graph, max_size: int):
 
     Order: by size, then lexicographically (itertools.combinations order),
     so the first mask yielded is the lexicographically first minimum
-    dominating set.
+    dominating set. It stays a combinations loop, costing C(n, <= max_size)
+    subsets; a 2**n-bit family as in exact_invariants costs 2**n whatever
+    max_size is: a 30-vertex star at max_size 2 scans 466 subsets, one
+    2**30-bit family is 128 MiB.
     """
     nb = g.nb_mask
     full = g.full_mask

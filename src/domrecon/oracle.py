@@ -275,24 +275,16 @@ def threshold_scan(
             row if max(row, default=-1) < m else tuple(w for w in row if w < m)
             for row in full_rg.adj[:m]
         )
-        comp, ncomp = _label_components(adj)
-        sub = ReconfigGraph(
-            graph_n=g.n,
-            k=k,
-            nodes=full_rg.nodes[:m],
-            adj=adj,
-            comp=comp,
-            num_components=ncomp,
-        )
+        ncomp = _label_components(adj)[1]
         # one all-sources BFS per record: when R_k is connected its diameter
         # is the largest component diameter
-        widest = max_component_diameter(sub)
-        connected = is_connected(sub)
+        widest = _eccentricities(adj)
+        connected = ncomp <= 1
         records.append(
             ThresholdRecord(
                 k=k,
-                num_nodes=sub.num_nodes,
-                num_edges=sub.num_edges,
+                num_nodes=m,
+                num_edges=sum(map(len, adj)) // 2,
                 num_components=ncomp,
                 connected=connected,
                 diameter=widest if connected else math.inf,

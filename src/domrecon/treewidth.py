@@ -17,8 +17,7 @@ from functools import cached_property
 from .graphs import (
     CoverCounts,
     Graph,
-    LimitError,
-    dominating_subsets,
+    exact_invariants,
     is_dominating,
     mask_of,
     set_of,
@@ -289,36 +288,11 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
     )
 
 
-def classify_left(
-    ntd: NormalizedTD, j: int, g: Graph | None = None
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Split vertices by bag j: left ones appear only in its subtree.
-
-    With a graph supplied, additionally assert the separation property: no
-    edge joins a left vertex outside bag j to a right vertex outside it.
-    """
-    if not 0 <= j < ntd.num_bags:
-        raise ValueError(f"bag index {j} out of range")
-    left = set_of(ntd.left_masks[j])
-    universe = frozenset(v for v, top in enumerate(ntd.tops) if top >= 0)
-    right = universe - left
-    if g is not None:
-        bag = ntd.bags[j]
-        for u, w in g.edges():
-            for a, c in ((u, w), (w, u)):
-                if a in left and a not in bag and c in right and c not in bag:
-                    raise SweepError(
-                        f"edge ({a + 1},{c + 1}) crosses bag {j} without"
-                        " touching it; the decomposition is invalid"
-                    )
-    return left, right
-
-
-def _check_property(g, ntd, j, state, target, gamma_upper, candidates=None):
+def _check_property(g, ntd, j, state, target, gamma_upper, candidates):
     """The sweep invariant at bag j, on a CoverCounts state.
 
-    The retired check looks at `candidates` (every member when None): a
-    member v with tops[v] < j must lie in the target.
+    The retired check looks at `candidates`: a member v with tops[v] < j
+    must lie in the target.
     """
     if not state.dominating:
         raise SweepError(f"working set at bag {j} is not dominating")
@@ -328,8 +302,6 @@ def _check_property(g, ntd, j, state, target, gamma_upper, candidates=None):
         )
     tops = ntd.tops
     members = state.members
-    if candidates is None:
-        candidates = members
     stray = [v for v in candidates if v in members and tops[v] < j and v not in target]
     if stray:
         raise SweepError(
@@ -342,40 +314,33 @@ def tw_step(
     g: Graph,
     ntd: NormalizedTD,
     j: int,
-    d_j,
+    state: CoverCounts,
     target,
     gamma_upper: int,
-    target_mask: int | None = None,
-) -> tuple[tuple[Move, ...], frozenset[int] | CoverCounts]:
-    """One sweep step across bag j (any bag except the root).
+    target_mask: int,
+) -> tuple[Move, ...]:
+    """One sweep step across bag j (any bag except the root), in place.
 
     Classifies bag j's vertices, pulls in the target's left vertices plus
     the right vertices not otherwise covered, drops the working set's own
-    left leftovers, then reduces back to size <= Gamma. Checks the sweep
-    invariant on entry only (the next tw_step, or final_merge at the root,
-    checks the set this step returns), the peak size Gamma + tw + 1 and the
-    move budget 2 (tw + 1); failures raise SweepError since they can only
-    come from inconsistent inputs.
+    left leftovers, then reduces back to size <= Gamma; returns the moves.
+    Checks the sweep invariant on entry only (the next tw_step, or
+    final_merge at the root, checks the set this step leaves), the peak
+    size Gamma + tw + 1 and the move budget 2 (tw + 1); failures raise
+    SweepError since they can only come from inconsistent inputs.
 
-    d_j is a set, or the CoverCounts that treewidth_transform's sweep
-    carries from bag to bag, with target_mask = mask_of(target) built once.
-    A carried state is updated in place and returned, and its entry check
-    looks for retired vertices only among those whose top bag is j - 1:
-    the step at j - 1 checked the rest and added only target vertices or
-    vertices whose top bag lies above j - 1. Such a step costs O(moved
-    vertices' degrees) plus a few n-bit mask operations, independent of
-    the size of the working set.
+    Precondition: state is the CoverCounts the sweep carries, last updated
+    by the step at j - 1, and target_mask = mask_of(target). That step
+    checked every other member and added only target vertices or vertices
+    whose top bag lies above j - 1, so the entry check looks for retired
+    vertices only among retiring[j - 1]. A step costs O(moved vertices'
+    degrees) plus a few n-bit mask operations.
     """
-    target = frozenset(target)
     if not 0 <= j < ntd.num_bags - 1:
         raise ValueError(f"tw_step applies to bags 0..{ntd.num_bags - 2}, got {j}")
-    carried = isinstance(d_j, CoverCounts)
-    state = d_j if carried else CoverCounts(g, d_j)
-    if target_mask is None:
-        target_mask = mask_of(target)
     tw = ntd.width
-    candidates = (ntd.retiring[j - 1] if j else ()) if carried else None
-    _check_property(g, ntd, j, state, target, gamma_upper, candidates)
+    retired = ntd.retiring[j - 1] if j else ()
+    _check_property(g, ntd, j, state, target, gamma_upper, retired)
     left = ntd.left_masks[j]
     bag = ntd.bags[j]
 
@@ -416,7 +381,7 @@ def tw_step(
         raise SweepError(
             f"bag {j} needed {len(moves)} moves, above the 2 (tw + 1) budget"
         )
-    return moves, state if carried else frozenset(state.members)
+    return moves
 
 
 def final_merge(
@@ -435,7 +400,7 @@ def final_merge(
     d_b, target = frozenset(d_b), frozenset(target)
     tw = ntd.width
     root = ntd.num_bags - 1
-    _check_property(g, ntd, root, CoverCounts(g, d_b), target, gamma_upper)
+    _check_property(g, ntd, root, CoverCounts(g, d_b), target, gamma_upper, d_b)
     surplus = d_b - target
     missing = target - d_b
     if not surplus <= ntd.bags[root]:
@@ -473,10 +438,11 @@ def treewidth_transform(
     4 (n + 1) (tw + 1).
 
     Args:
-        min_ds: a minimum dominating set; computed by brute force when
-            omitted (needs g.n <= limit). A supplied set is checked for
-            minimum size when g.n <= limit and otherwise trusted with a
-            warning.
+        min_ds: a minimum dominating set; when omitted, the lex-first one
+            from exact_invariants (needs g.n <= limit; about 90 MiB at
+            n = 24). A supplied set must lie in 0..n-1 and dominate; its
+            size is checked against exact_invariants' gamma when
+            g.n <= limit and otherwise trusted with a warning.
         root: bag index overriding the decomposition's root.
     """
     ds, dt = frozenset(ds), frozenset(dt)
@@ -488,16 +454,15 @@ def treewidth_transform(
     k = gamma_upper + tw + 1
 
     if min_ds is None:
-        if g.n > limit:
-            raise LimitError(f"computing min_ds needs n <= {limit}, got {g.n}")
-        target = set_of(next(dominating_subsets(g, g.n)))
+        target = exact_invariants(g, limit).witness_min_ds
     else:
         target = frozenset(min_ds)
+        if not all(0 <= v < g.n for v in target):
+            raise ValueError(f"min_ds has a vertex outside 0..{g.n - 1}")
         if not is_dominating(g, target):
             raise ValueError("min_ds is not a dominating set")
         if g.n <= limit:
-            # target dominates, so a set of size <= |target| is yielded
-            gamma = next(dominating_subsets(g, len(target))).bit_count()
+            gamma = exact_invariants(g, limit).gamma_min
             if len(target) != gamma:
                 raise ValueError(
                     f"min_ds has size {len(target)} but gamma = {gamma}"
@@ -516,10 +481,7 @@ def treewidth_transform(
         state = CoverCounts(g, head.end)
         moves: list[Move] = []
         for j in range(ntd.num_bags - 1):
-            step_moves, state = tw_step(
-                g, ntd, j, state, target, gamma_upper, target_mask
-            )
-            moves.extend(step_moves)
+            moves.extend(tw_step(g, ntd, j, state, target, gamma_upper, target_mask))
         moves.extend(final_merge(g, ntd, state.members, target, gamma_upper))
         if len(moves) > 2 * g.n * (tw + 1):
             raise SweepError(

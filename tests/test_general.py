@@ -182,6 +182,13 @@ class TestGeneralTransform:
         with pytest.raises(ValueError, match="ds has size 4 > k = 3"):
             general_transform(g, {0, 1, 2, 3}, {1, 3}, inv)
 
+    @pytest.mark.parametrize("ds", [{-2}, {1, 7}])
+    def test_rejects_vertices_outside_the_graph(self, ds):
+        # {-2} would index nb_mask[-2], the middle vertex, and dominate
+        g = path(3)
+        with pytest.raises(ValueError, match=r"ds has a vertex outside 0\.\.2"):
+            general_transform(g, ds, {1}, exact_invariants(g))
+
     def test_exhaustive_small_paths_and_cycles(self):
         # every ordered pair of minimal dominating sets on a few shapes,
         # cross-checked against the brute-force reconfiguration graph

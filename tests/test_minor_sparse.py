@@ -242,6 +242,11 @@ class TestMinorSparseTransform:
         with pytest.raises(ValueError, match="dt has size 5 > k = 4"):
             minor_sparse_transform(g, {1, 4}, {0, 1, 2, 3, 4}, 2, 3)
 
+    @pytest.mark.parametrize("ds", [{-2}, {1, 7}])
+    def test_rejects_vertices_outside_the_graph(self, ds):
+        with pytest.raises(ValueError, match=r"ds has a vertex outside 0\.\.2"):
+            minor_sparse_transform(path(3), ds, {0, 2}, 2, 2)
+
     def test_shrink_failure_blames_gamma(self):
         g = path(6)
         # claimed Gamma below the reachable minimum: padding cannot comply

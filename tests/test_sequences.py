@@ -120,6 +120,9 @@ class TestWalkHelpers:
         # ds before dt, domination before size
         with pytest.raises(ValueError, match="ds has size 3"):
             check_endpoints(g, {0, 1, 2}, {0}, 2)
+        # range before domination: nb_mask[-2] is the middle vertex's mask
+        with pytest.raises(ValueError, match=r"dt has a vertex outside 0\.\.2"):
+            check_endpoints(g, {1}, {-2}, 2)
 
     def test_shrink_walk_is_lazy(self, monkeypatch):
         # the sweep shrinks at every bag; a set that already fits must cost

@@ -8,7 +8,14 @@ import pytest
 
 import helpers
 from domrecon import graphs, treewidth
-from domrecon.graphs import CoverCounts, Graph, LimitError, greedy_maximal_is, set_of
+from domrecon.graphs import (
+    CoverCounts,
+    Graph,
+    LimitError,
+    greedy_maximal_is,
+    mask_of,
+    set_of,
+)
 from domrecon.instances import (
     gen_mynhardt,
     gen_mynhardt_pd,
@@ -21,7 +28,6 @@ from domrecon.treewidth import (
     NormalizedTD,
     SweepError,
     TreeDecomposition,
-    classify_left,
     final_merge,
     format_td,
     normalize_td,
@@ -175,7 +181,7 @@ REFERENCE_CASES = reference_cases()
 class TestCachedStructures:
     """Tops, width, left sets and leaf order against the naive versions."""
 
-    def check(self, g, td, root):
+    def check(self, td, root):
         ntd = normalize_td(td, root=root)
         bags, parents = helpers.naive_normalize_td(td, root=root)
         assert (ntd.bags, ntd.parent) == (bags, parents)
@@ -186,17 +192,16 @@ class TestCachedStructures:
         )
         assert ntd.width == max(len(bag) for bag in bags) - 1
         for j in range(ntd.num_bags):
-            left, right = helpers.naive_classify_left(ntd, j)
+            left, _ = helpers.naive_classify_left(ntd, j)
             assert set_of(ntd.left_masks[j]) == left
-            assert classify_left(ntd, j, g=g) == (left, right)
 
     @pytest.mark.parametrize("index", range(len(REFERENCE_CASES)))
     def test_against_naive(self, index):
-        g, td = REFERENCE_CASES[index]
+        _, td = REFERENCE_CASES[index]
         rng = random.Random(index)
         roots = {None, 0, td.num_bags - 1, rng.randrange(td.num_bags)}
         for root in roots:
-            self.check(g, td, root)
+            self.check(td, root)
 
     def test_nested_bags_merged(self, atlas_connected):
         # optimal elimination-order decompositions nest adjacent bags
@@ -204,7 +209,7 @@ class TestCachedStructures:
             for g in atlas_connected[n][::7]:
                 td = helpers.exact_tree_decomposition(g)
                 for root in {None, 0, td.num_bags // 2}:
-                    self.check(g, td, root)
+                    self.check(td, root)
 
 
 class TestValidateAgainstNaive:
@@ -272,10 +277,6 @@ class TestValidateAgainstNaive:
 
 class TestSweepReadsCachedStructures:
     def test_no_descendant_walk_and_one_build_per_decomposition(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the sweep walked the bag tree per vertex")
-
-        monkeypatch.setattr(treewidth, "classify_left", forbidden)
         builds = Counter()
         for name in ("tops", "retiring", "left_masks"):
             cached = NormalizedTD.__dict__[name]
@@ -415,63 +416,38 @@ class TestGoldenOutput:
         )
 
 
-class TestClassifyLeft:
-    def test_split(self):
-        ntd = normalize_td(path_td(4))
-        left, right = classify_left(ntd, 0)
-        assert (left, right) == ({0}, {1, 2, 3})
-        left, right = classify_left(ntd, 1)
-        assert (left, right) == ({0, 1}, {2, 3})
-
-    def test_separation_check(self):
-        # P_4's path decomposition does not cover C_4's chord (1,4)
-        c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        ntd = normalize_td(path_td(4))
-        classify_left(ntd, 0, g=path(4))
-        with pytest.raises(SweepError, match="crosses bag 1"):
-            classify_left(ntd, 1, g=c4)
-
-    def test_bag_index_bounds(self):
-        ntd = normalize_td(path_td(4))
-        with pytest.raises(ValueError, match="out of range"):
-            classify_left(ntd, 3)
-
-
 class TestTwStep:
+    def step(self, g, ntd, j, members, target, gamma_upper):
+        state = CoverCounts(g, members)
+        moves = tw_step(g, ntd, j, state, target, gamma_upper, mask_of(target))
+        return moves, state
+
     def test_path3_by_hand(self):
         g = path(3)
         ntd = normalize_td(path_td(3))
-        moves, d_next = tw_step(g, ntd, 0, {0, 2}, {1}, gamma_upper=2)
+        moves, state = self.step(g, ntd, 0, {0, 2}, {1}, gamma_upper=2)
         assert moves == (Move.add(1), Move.remove(0))
-        assert d_next == {1, 2}
+        assert state.members == {1, 2}
 
     def test_noop_when_aligned(self):
         g = path(3)
         ntd = normalize_td(path_td(3))
-        moves, d_next = tw_step(g, ntd, 0, {1}, {1}, gamma_upper=2)
+        moves, state = self.step(g, ntd, 0, {1}, {1}, gamma_upper=2)
         assert moves == ()
-        assert d_next == {1}
+        assert state.members == {1}
 
     def test_rejects_root_bag(self):
         ntd = normalize_td(path_td(3))
         with pytest.raises(ValueError, match="bags 0..0"):
-            tw_step(path(3), ntd, 1, {1}, {1}, gamma_upper=2)
+            self.step(path(3), ntd, 1, {1}, {1}, gamma_upper=2)
 
     def test_rejects_broken_invariant(self):
         g = path(3)
         ntd = normalize_td(path_td(3))
         with pytest.raises(SweepError, match="not dominating"):
-            tw_step(g, ntd, 0, {0}, {1}, gamma_upper=2)
+            self.step(g, ntd, 0, {0}, {1}, gamma_upper=2)
         with pytest.raises(SweepError, match="size 3 > Gamma"):
-            tw_step(g, ntd, 0, {0, 1, 2}, {1}, gamma_upper=2)
-
-    def test_carried_state_is_updated_in_place(self):
-        g = path(3)
-        ntd = normalize_td(path_td(3))
-        state = CoverCounts(g, {0, 2})
-        moves, returned = tw_step(g, ntd, 0, state, {1}, gamma_upper=2)
-        assert moves == (Move.add(1), Move.remove(0))
-        assert returned is state and state.members == {1, 2}
+            self.step(g, ntd, 0, {0, 1, 2}, {1}, gamma_upper=2)
 
     def test_retired_check(self):
         # path 0-1-2-3-4, bags {0,1} {1,2} {2,3} {3,4}; vertex 1 retires at bag 1
@@ -479,13 +455,7 @@ class TestTwStep:
         ntd = normalize_td(path_td(5))
         assert ntd.retiring == ((0,), (1,), (2,), (3, 4))
         with pytest.raises(SweepError, match=r"keeps retired vertices \[2\]"):
-            tw_step(g, ntd, 2, {1, 3}, {0, 3}, gamma_upper=2)
-        # a carried state is checked only for the vertices retired at bag 1
-        with pytest.raises(SweepError, match=r"keeps retired vertices \[2\]"):
-            tw_step(g, ntd, 2, CoverCounts(g, {1, 3}), {0, 3}, gamma_upper=2)
-        # a plain set gets the full check, vertex 0 included
-        with pytest.raises(SweepError, match=r"keeps retired vertices \[1\]"):
-            tw_step(g, ntd, 2, {0, 3, 4}, {1, 4}, gamma_upper=3)
+            self.step(g, ntd, 2, {1, 3}, {0, 3}, gamma_upper=2)
 
 
 class TestFinalMerge:
@@ -587,6 +557,30 @@ class TestTransform:
         g = path(3)
         with pytest.raises(ValueError, match="ds is not a dominating set"):
             treewidth_transform(g, path_td(3), {0}, {1}, gamma_upper=2)
+
+    @pytest.mark.parametrize("bad", [{-2}, {1, 7}])
+    def test_rejects_vertices_outside_the_graph(self, bad):
+        g = path(3)
+        with pytest.raises(ValueError, match=r"ds has a vertex outside 0\.\.2"):
+            treewidth_transform(g, path_td(3), bad, {1}, gamma_upper=2)
+        with pytest.raises(ValueError, match=r"min_ds has a vertex outside 0\.\.2"):
+            treewidth_transform(g, path_td(3), {1}, {1}, gamma_upper=2, min_ds=bad)
+
+    def test_computed_min_ds_comes_from_exact_invariants(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep enumerated subsets itself")
+
+        # every binding, `from .graphs import dominating_subsets` copies included
+        for name, module in list(sys.modules.items()):
+            if name.startswith("domrecon") and hasattr(module, "dominating_subsets"):
+                monkeypatch.setattr(module, "dominating_subsets", forbidden)
+        g = gen_mynhardt(3)
+        td = gen_mynhardt_td(3)
+        ds, dt = greedy_maximal_is(g), greedy_maximal_is(g, frozenset({g.n - 1}))
+        inv = graphs.exact_invariants(g)
+        seq = treewidth_transform(g, td, ds, dt, inv.gamma_upper)
+        report = verify_sequence(g, seq, expected_end=dt)
+        assert report.valid and report.end_matches
 
     def test_gamma_too_small(self):
         g = path(6)
