@@ -449,6 +449,15 @@ class TestTwStep:
         with pytest.raises(SweepError, match="size 3 > Gamma"):
             self.step(g, ntd, 0, {0, 1, 2}, {1}, gamma_upper=2)
 
+    def test_carried_state_is_updated_in_place(self):
+        g = path(3)
+        ntd = normalize_td(path_td(3))
+        state = CoverCounts(g, {0, 2})
+        before = id(state)
+        moves = tw_step(g, ntd, 0, state, {1}, 2, mask_of({1}))
+        assert moves == (Move.add(1), Move.remove(0))
+        assert id(state) == before and state.members == {1, 2}
+
     def test_retired_check(self):
         # path 0-1-2-3-4, bags {0,1} {1,2} {2,3} {3,4}; vertex 1 retires at bag 1
         g = path(5)
