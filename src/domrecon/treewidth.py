@@ -17,7 +17,8 @@ from functools import cached_property
 from .graphs import (
     CoverCounts,
     Graph,
-    exact_invariants,
+    LimitError,
+    dominating_subsets,
     is_dominating,
     mask_of,
     set_of,
@@ -438,11 +439,10 @@ def treewidth_transform(
     4 (n + 1) (tw + 1).
 
     Args:
-        min_ds: a minimum dominating set; when omitted, the lex-first one
-            from exact_invariants (needs g.n <= limit; about 90 MiB at
-            n = 24). A supplied set must lie in 0..n-1 and dominate; its
-            size is checked against exact_invariants' gamma when
-            g.n <= limit and otherwise trusted with a warning.
+        min_ds: a minimum dominating set; computed by brute force when
+            omitted (needs g.n <= limit). A supplied set must lie in
+            0..n-1; it is checked for minimum size when g.n <= limit and
+            otherwise trusted with a warning.
         root: bag index overriding the decomposition's root.
     """
     ds, dt = frozenset(ds), frozenset(dt)
@@ -454,7 +454,9 @@ def treewidth_transform(
     k = gamma_upper + tw + 1
 
     if min_ds is None:
-        target = exact_invariants(g, limit).witness_min_ds
+        if g.n > limit:
+            raise LimitError(f"computing min_ds needs n <= {limit}, got {g.n}")
+        target = set_of(next(dominating_subsets(g, g.n)))
     else:
         target = frozenset(min_ds)
         if not all(0 <= v < g.n for v in target):
@@ -462,7 +464,8 @@ def treewidth_transform(
         if not is_dominating(g, target):
             raise ValueError("min_ds is not a dominating set")
         if g.n <= limit:
-            gamma = exact_invariants(g, limit).gamma_min
+            # target dominates, so a set of size <= |target| is yielded
+            gamma = next(dominating_subsets(g, len(target))).bit_count()
             if len(target) != gamma:
                 raise ValueError(
                     f"min_ds has size {len(target)} but gamma = {gamma}"
