@@ -45,7 +45,7 @@ class ReconfigGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def index_of(self, s) -> int:
         mask = mask_of(s)
@@ -90,18 +90,25 @@ def build_reconfig_graph(
     nodes = list(dominating_subsets(g, k))
     index = {mask: i for i, mask in enumerate(nodes)}
     adj: list[list[int]] = [[] for _ in nodes]
+    bits = [1 << v for v in range(g.n)]
+    # domination is closed upward, so S + v is a node whenever |S| < k:
+    # each edge is met once from its smaller end, and the pass stops at the
+    # first node of size k. Every row comes out ascending: its
+    # down-neighbours are appended in node order and all precede it, then
+    # its up-neighbours follow it, in lex order since S + u precedes S + v
+    # for u < v.
     for i, mask in enumerate(nodes):
-        for v in range(g.n):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            j = index.get(mask | bit)
-            if j is not None:
-                adj[i].append(j)
+        if mask.bit_count() == k:
+            break
+        row = adj[i]
+        for bit in bits:
+            if not mask & bit:
+                j = index[mask | bit]
+                row.append(j)
                 adj[j].append(i)
-    adj = tuple(tuple(sorted(a)) for a in adj)
+    adj = tuple(map(tuple, adj))
     comp, num_components = _label_components(adj)
-    return ReconfigGraph(
+    rg = ReconfigGraph(
         graph_n=g.n,
         k=k,
         nodes=tuple(nodes),
@@ -109,6 +116,9 @@ def build_reconfig_graph(
         comp=comp,
         num_components=num_components,
     )
+    # index_of and distance reuse the dict built above, not a second copy
+    rg.__dict__["_index"] = index
+    return rg
 
 
 def _bfs_levels(adj, source: int, seen: bytearray):

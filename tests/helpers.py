@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import deque
 
 import networkx as nx
@@ -190,6 +191,38 @@ def all_dominating_sets(g: Graph) -> list[frozenset[int]]:
         for combo in itertools.combinations(range(g.n), size)
         if _dominates(g, combo)
     ]
+
+
+def naive_reconfig_graph(g: Graph, k: int) -> tuple[tuple[int, ...], tuple]:
+    """(nodes, adj) of R_k straight from the definition.
+
+    The nodes are the dominating sets of size <= k in all_dominating_sets
+    order, as bitmasks; two nodes are adjacent iff their symmetric
+    difference is exactly one vertex, found by toggling each vertex of each
+    node. Rows are sorted.
+    """
+    sets = [s for s in all_dominating_sets(g) if len(s) <= k]
+    index = {s: i for i, s in enumerate(sets)}
+    adj = tuple(
+        tuple(sorted(index[s ^ {v}] for v in range(g.n) if s ^ {v} in index))
+        for s in sets
+    )
+    return tuple(sum(1 << v for v in s) for s in sets), adj
+
+
+def seeded_small_graphs(seed: int, max_n: int = 12) -> list[Graph]:
+    """For each n <= max_n: the edgeless and complete graphs, two halves
+    with no edge between them, and random graphs at three densities."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in range(1, max_n + 1):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        graphs += [Graph(n, []), Graph(n, pairs)]
+        halves = [(u, v) for u, v in pairs if (u < n // 2) == (v < n // 2)]
+        graphs.append(Graph(n, [e for e in halves if rng.random() < 0.5]))
+        for density in (0.15, 0.3, 0.5):
+            graphs.append(Graph(n, [e for e in pairs if rng.random() < density]))
+    return graphs
 
 
 def all_minimal_dominating_sets(g: Graph) -> list[frozenset[int]]:

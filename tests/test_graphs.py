@@ -28,7 +28,10 @@ from domrecon.graphs import (
     reduce_to_minimal,
     set_of,
 )
+from domrecon.instances import gen_mynhardt, gen_mynhardt_td
+from domrecon.oracle import build_reconfig_graph
 from domrecon.sequences import Move, shrink_walk
+from domrecon.treewidth import treewidth_transform
 
 
 def path(n):
@@ -313,6 +316,34 @@ class TestDominatingSubsets:
                 for k in range(n + 1):
                     want = [m for m in every if m.bit_count() <= k]
                     assert list(dominating_subsets(g, k)) == want
+
+    def test_prefix_on_seeded_graphs(self):
+        # sparse, edgeless and disconnected graphs prune most prefixes
+        graphs = helpers.seeded_small_graphs(10)
+        assert any(not is_connected(g) and g.m for g in graphs)
+        for g in graphs:
+            every = [mask_of(s) for s in helpers.all_dominating_sets(g)]
+            for k in range(g.n + 2):
+                want = [m for m in every if m.bit_count() <= k]
+                assert list(dominating_subsets(g, k)) == want
+
+    def test_no_combinations_loop(self, monkeypatch):
+        # the oracle build and the treewidth target walk the pruned prefixes;
+        # a loop over combinations would hit the patched function
+        g = gen_mynhardt(3)
+        td = gen_mynhardt_td(3)
+        ds, dt = frozenset({1, 2, 3}), frozenset({0, 4, 7})
+        min_ds = helpers.all_dominating_sets(g)[0]
+        want_rg = helpers.naive_reconfig_graph(g, 6)
+        want_seq = treewidth_transform(g, td, ds, dt, 3, min_ds=min_ds)
+
+        def forbidden(*args):
+            raise AssertionError("dominating_subsets enumerated combinations")
+
+        monkeypatch.setattr(itertools, "combinations", forbidden)
+        rg = build_reconfig_graph(g, 6)
+        assert (rg.nodes, rg.adj) == want_rg
+        assert treewidth_transform(g, td, ds, dt, 3) == want_seq
 
     def test_first_is_the_minimum_witness(self, atlas_connected):
         graphs = [g for n in range(1, 8) for g in atlas_connected[n]]

@@ -93,6 +93,25 @@ class TestBuild:
             build_reconfig_graph(path(10), 10, subset_cap=100)
 
 
+class TestAgainstNaiveReconfigGraph:
+    """nodes and adj agree with R_k built from its definition, every k."""
+
+    @staticmethod
+    def check(g):
+        for k in range(g.n + 2):
+            rg = build_reconfig_graph(g, k)
+            assert (rg.nodes, rg.adj) == helpers.naive_reconfig_graph(g, k)
+
+    def test_connected_atlas(self, atlas_connected):
+        for n in range(1, 7):
+            for g in atlas_connected[n]:
+                self.check(g)
+
+    def test_seeded_graphs(self):
+        for g in helpers.seeded_small_graphs(10):
+            self.check(g)
+
+
 class TestDistance:
     def test_same_component(self):
         rg = build_reconfig_graph(path(3), 3)
