@@ -314,8 +314,8 @@ def greedy_removals(g: Graph, s, prefer_outside):
 def dominating_subsets(g: Graph, max_size: int):
     """Yield the masks of all dominating sets of size <= max_size.
 
-    Order: by size, then lexicographically (itertools.combinations order),
-    so the first mask yielded is the lexicographically first minimum
+    Order: by size, then lexicographically as ascending vertex tuples, so
+    the first mask yielded is the lexicographically first minimum
     dominating set. Each size is a depth-first walk over the vertex
     prefixes in lex order, carrying each prefix's mask and cover. A prefix
     whose last vertex is v is dropped, with everything below it, once

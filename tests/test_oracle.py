@@ -82,6 +82,16 @@ class TestBuild:
         pairs = [m for m in rg.nodes if m.bit_count() == 2]
         assert pairs == [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100]
 
+    def test_index_seeded_by_the_build(self):
+        # index_of reuses the build's dict; equality and repr ignore it
+        rg = build_reconfig_graph(cycle(4), 3)
+        assert "_index" in vars(rg)
+        assert rg._index == {mask: i for i, mask in enumerate(rg.nodes)}
+        fresh = dataclasses.replace(rg)
+        assert "_index" not in vars(fresh)
+        assert fresh == rg and repr(fresh) == repr(rg)
+        assert fresh.index_of({0, 2}) == rg.index_of({0, 2}) == 1
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="nonnegative"):
             build_reconfig_graph(path(3), -1)
