@@ -2,7 +2,10 @@
 
 Subcommands: gen (write instance families), stats (invariants of a graph
 file), transform (build a reconfiguration sequence), verify (check a
-sequence file), oracle (exact reconfiguration-graph queries).
+sequence file), oracle (exact reconfiguration-graph queries). oracle --k
+answers on the 2**n-bit subset lattice while 2**n <= the subset cap (n <= 22
+by default; about (n + log2 n + 4) * 2**n bits); --diameter, --scan and
+larger n list R_k's nodes and edges instead.
 
 Exit codes: 0 success/valid, 1 invalid input, 2 verification failure,
 3 resource limit, 4 assumption violated (density witness, impossible
@@ -337,7 +340,16 @@ def cmd_oracle(args) -> int:
             d0 = report.d0_empirical
             print(f"d0-empirical {'none' if d0 is None else d0}")
         return EXIT_OK
-    rg = oracle.build_reconfig_graph(g, args.k, limit=limit)
+    if args.distance is not None:
+        a, b = map(parse_vertex_list, args.distance)
+        _check_vertices(g, a | b, "--distance")
+    # --diameter needs R_k listed; the rest is read off the subset lattice
+    # while its 2**n subsets fit the cap
+    listed = args.diameter or g.n > oracle.LATTICE_MAX_N
+    build = oracle.build_reconfig_graph if listed else oracle.SubsetLattice
+    rg = build(g, args.k, limit=limit)
+    # before any output, so that a set that is not a node prints nothing
+    hops = None if args.distance is None else oracle.distance(rg, a, b)
     print(f"k {args.k}")
     print(f"nodes {rg.num_nodes}")
     print(f"edges {rg.num_edges}")
@@ -353,11 +365,8 @@ def cmd_oracle(args) -> int:
             print("frozen none")
         for s in frozen:
             print(f"frozen {format_vertex_list(s)}")
-    if args.distance is not None:
-        a = parse_vertex_list(args.distance[0])
-        b = parse_vertex_list(args.distance[1])
-        _check_vertices(g, a | b, "--distance")
-        print(f"distance {oracle.distance(rg, a, b)}")
+    if hops is not None:
+        print(f"distance {hops}")
     return EXIT_OK
 
 

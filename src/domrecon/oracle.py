@@ -1,13 +1,17 @@
-"""Brute-force reconfiguration graph over dominating sets.
+"""Exact reconfiguration graph over dominating sets, listed or on the lattice.
 
 Nodes of R_k(G) are all dominating sets of size <= k, edges join sets whose
-symmetric difference is a single vertex. Everything here is desk scale:
-subset enumeration is the point, not a shortcut.
+symmetric difference is a single vertex. build_reconfig_graph lists nodes
+and adjacency rows, as diameters and the scan need. SubsetLattice answers
+counts, components, frozen sets and distances on 2**n-bit families of all
+subsets instead, for 2**n <= DEFAULT_SUBSET_CAP (n <= 22), in about
+(n + log2(n) + 4) * 2**n bits: roughly 3 MiB at n = 20.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -15,6 +19,7 @@ from operator import or_
 from .graphs import (
     Graph,
     LimitError,
+    SubsetFamilies,
     dominating_subsets,
     exact_invariants,
     mask_of,
@@ -23,6 +28,8 @@ from .graphs import (
 
 DEFAULT_VERTEX_LIMIT = 20
 DEFAULT_SUBSET_CAP = 1 << 22
+# the largest n whose 2**n subsets fit the cap, for SubsetLattice
+LATTICE_MAX_N = DEFAULT_SUBSET_CAP.bit_length() - 1
 # sources per bit-parallel BFS pass; each pass holds two generations of
 # num_nodes rows of this many bits
 _BLOCK = 1024
@@ -52,14 +59,112 @@ class ReconfigGraph:
         try:
             return self._index[mask]
         except KeyError:
-            raise ValueError(
-                f"set {sorted(v + 1 for v in s)} is not a node of R_{self.k}"
-                " (not dominating or larger than k)"
-            ) from None
+            raise _not_a_node(s, self.k) from None
 
     @cached_property
     def _index(self) -> dict[int, int]:
         return {mask: i for i, mask in enumerate(self.nodes)}
+
+    def frozen_masks(self) -> list[int]:
+        return [self.nodes[i] for i, row in enumerate(self.adj) if not row]
+
+    def hops(self, ia: int, ib: int) -> int | float:
+        if self.comp[ia] != self.comp[ib]:
+            return math.inf
+        seen = bytearray(self.num_nodes)
+        for hops, _level in enumerate(_bfs_levels(self.adj, ia, seen)):
+            if seen[ib]:
+                return hops
+        raise RuntimeError("BFS must reach a node of the same component")
+
+
+def _not_a_node(s, k: int) -> ValueError:
+    return ValueError(
+        f"set {sorted(v + 1 for v in s)} is not a node of R_{k}"
+        " (not dominating or larger than k)"
+    )
+
+
+class SubsetLattice:
+    """R_k(G) as 2**n-bit families (see graphs.SubsetFamilies), unlisted:
+    node S is bit S of `family`, and index_of gives S's mask."""
+
+    def __init__(self, g: Graph, k: int, limit: int = DEFAULT_VERTEX_LIMIT):
+        _check_request(g, k, limit)
+        if g.n > LATTICE_MAX_N:
+            raise LimitError(f"the lattice needs n <= {LATTICE_MAX_N}, got {g.n}")
+        fam = SubsetFamilies(g)
+        self.k, self.has = k, fam.has
+        self.family = family = fam.dominating & fam.size_at_most(k)
+        # domination is closed upward: a node below size k has one edge up
+        # per vertex it lacks, and each edge is counted from its lower end
+        below = family & fam.size_at_most(k - 1)
+        sizes = sum((below & p).bit_count() << i for i, p in enumerate(fam.planes))
+        self.num_nodes = family.bit_count()
+        self.num_edges = g.n * below.bit_count() - sizes
+        # frozen: no node one move away; each other component is one fill
+        self.frozen = family ^ (family & _moves(family, fam.has))
+        self.num_components = self.frozen.bit_count()
+        rest = family ^ self.frozen
+        while rest:
+            rest ^= _fill(rest & -rest, family, fam.has)
+            self.num_components += 1
+
+    def index_of(self, s) -> int:
+        mask = mask_of(s)
+        if not self.family >> mask & 1:
+            raise _not_a_node(s, self.k)
+        return mask
+
+    def frozen_masks(self) -> list[int]:
+        # set bits read byte by byte: each x & -x would cost all 2**n bits
+        raw = self.frozen.to_bytes(-(-self.frozen.bit_length() // 8), "little")
+        hits = [(8 * m.start(), m[0][0]) for m in re.finditer(rb"[^\x00]", raw)]
+        masks = [at + bit for at, byte in hits for bit in range(8) if byte >> bit & 1]
+        return sorted(masks, key=lambda m: (m.bit_count(), sorted(set_of(m))))
+
+    def hops(self, a: int, b: int) -> int | float:
+        # BFS by frontier families from a, stopping once b is reached
+        reached = frontier = 1 << a
+        hops = 0
+        while not reached >> b & 1:
+            grown = _moves(frontier, self.has) & self.family
+            frontier = grown ^ (grown & reached)
+            if not frontier:
+                return math.inf
+            reached |= frontier
+            hops += 1
+        return hops
+
+
+def _moves(x: int, has) -> int:
+    # the sets one move from a set in x: (x << 2**v) & has[v] adds v (a set
+    # with v carries out of has[v]) and (x & has[v]) >> 2**v drops it; no ~,
+    # since a negative 2**n-bit int makes each & about 3x dearer
+    out = 0
+    for v, members in enumerate(has):
+        out |= ((x << (1 << v)) & members) | ((x & members) >> (1 << v))
+    return out
+
+
+def _fill(reached: int, family: int, has) -> int:
+    # reached's component in family: each sweep adds the moves on v from all
+    # that is reached so far, v by v, so one sweep can go many hops
+    before = None
+    while reached != before:
+        before = reached
+        for v, members in enumerate(has):
+            step = 1 << v
+            moved = ((reached << step) & members) | ((reached & members) >> step)
+            reached |= moved & family
+    return reached
+
+
+def _check_request(g: Graph, k: int, limit: int) -> None:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if g.n > limit:
+        raise LimitError(f"oracle needs n <= {limit}, got {g.n}")
 
 
 def _scan_estimate(n: int, k: int) -> int:
@@ -79,10 +184,7 @@ def build_reconfig_graph(
     subset_cap. k below the domination number yields an empty graph, which
     is reported, not an error.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if g.n > limit:
-        raise LimitError(f"oracle needs n <= {limit}, got {g.n}")
+    _check_request(g, k, limit)
     if _scan_estimate(g.n, k) > subset_cap:
         raise LimitError(
             f"scanning {_scan_estimate(g.n, k)} subsets exceeds the cap {subset_cap}"
@@ -156,26 +258,19 @@ def _label_components(adj) -> tuple[tuple[int, ...], int]:
     return tuple(comp), num_components
 
 
-def is_connected(rg: ReconfigGraph) -> bool:
+def is_connected(rg: ReconfigGraph | SubsetLattice) -> bool:
     """Empty and one-node reconfiguration graphs count as connected."""
     return rg.num_components <= 1
 
 
-def frozen_sets(rg: ReconfigGraph) -> list[frozenset[int]]:
+def frozen_sets(rg: ReconfigGraph | SubsetLattice) -> list[frozenset[int]]:
     """Isolated nodes (no move applies), in canonical node order."""
-    return [set_of(rg.nodes[i]) for i in range(rg.num_nodes) if not rg.adj[i]]
+    return [set_of(mask) for mask in rg.frozen_masks()]
 
 
-def distance(rg: ReconfigGraph, a, b) -> int | float:
+def distance(rg: ReconfigGraph | SubsetLattice, a, b) -> int | float:
     """BFS hop count between two node sets; math.inf across components."""
-    ia, ib = rg.index_of(a), rg.index_of(b)
-    if rg.comp[ia] != rg.comp[ib]:
-        return math.inf
-    seen = bytearray(rg.num_nodes)
-    for hops, _level in enumerate(_bfs_levels(rg.adj, ia, seen)):
-        if seen[ib]:
-            return hops
-    raise RuntimeError("BFS must reach a node of the same component")
+    return rg.hops(rg.index_of(a), rg.index_of(b))
 
 
 def _eccentricities(adj) -> int:

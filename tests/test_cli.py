@@ -3,7 +3,10 @@ import io
 
 import pytest
 
+from domrecon import oracle
 from domrecon.cli import _build_parser, main
+from domrecon.graphs import format_graph
+from domrecon.instances import gen_grid, gen_mynhardt, gen_star
 
 
 @pytest.fixture()
@@ -389,6 +392,22 @@ class TestOracle:
         assert code == 0
         assert "distance inf" in out
 
+    @pytest.mark.parametrize("route", [(), ("--diameter",)], ids=["lattice", "node-list"])
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            (("1", "9"), "--distance mentions vertex 9 but the graph has 3 vertices"),
+            (("9", "2"), "--distance mentions vertex 9 but the graph has 3 vertices"),
+            (("1", "3"), "set [1] is not a node of R_2"),
+            (("2", "1,2,3"), "set [1, 2, 3] is not a node of R_2"),
+        ],
+    )
+    def test_bad_distance_prints_nothing(self, capsys, p3, route, pair, message):
+        code, out, err = run(capsys, "oracle", p3, "--k", "2", *route, "--distance", *pair)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_scan_text(self, capsys, p3):
         code, out, _ = run(capsys, "oracle", p3, "--scan", "3")
         assert code == 0
@@ -443,6 +462,80 @@ class TestOracle:
         with pytest.raises(SystemExit) as info:
             main(["oracle", p3, "--k", "2", "--scan", "3"])
         assert info.value.code == 1
+
+
+def _graph_file(tmp_path, name, g):
+    f = tmp_path / f"{name}.gr"
+    f.write_text(format_graph(g))
+    return str(f)
+
+
+class TestOracleRoutes:
+    """--k answers on the subset lattice unless --diameter is asked or 2**n
+    exceeds the subset cap; the stdouts below were produced by the node list."""
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the other route was taken")
+
+        for name in names:
+            monkeypatch.setattr(oracle, name, forbidden)
+
+    @pytest.mark.parametrize(
+        "name,g,argv,want",
+        [
+            (
+                "myn4",
+                gen_mynhardt(4),
+                ("--k", "6", "--distance", "1,6,10,14", "2,3,4,5,16,17"),
+                "k 6\nnodes 9132\nedges 29289\ncomponents 2\nconnected false\n"
+                "frozen none\ndistance inf\n",
+            ),
+            (
+                "grid",
+                gen_grid(4, 5),
+                ("--k", "10", "--distance", "1,3,10,11,12,19", "6,7,8,9,10,16,17,18,19,20"),
+                "k 10\nnodes 107443\nedges 480156\ncomponents 5\nconnected false\n"
+                "frozen 1,2,3,4,5,16,17,18,19,20\nfrozen 1,3,5,7,9,11,13,15,17,19\n"
+                "frozen 2,4,6,8,10,12,14,16,18,20\nfrozen 6,7,8,9,10,11,12,13,14,15\n"
+                "distance 12\n",
+            ),
+        ],
+        ids=["mynhardt4", "grid4x5"],
+    )
+    def test_queries_skip_the_node_list(self, capsys, tmp_path, monkeypatch, name, g, argv, want):
+        self.forbid(monkeypatch, "dominating_subsets", "build_reconfig_graph")
+        code, out, err = run(capsys, "oracle", _graph_file(tmp_path, name, g), "--frozen", *argv)
+        assert (code, err) == (0, "")
+        assert out == want
+
+    def test_diameter_uses_the_node_list(self, capsys, tmp_path, monkeypatch):
+        self.forbid(monkeypatch, "SubsetLattice")
+        graph = _graph_file(tmp_path, "myn3", gen_mynhardt(3))
+        code, out, err = run(
+            capsys, "oracle", graph, "--k", "4", "--diameter", "--frozen",
+            "--distance", "1,5,8", "4,7,9,10",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "k 4\nnodes 170\nedges 259\ncomponents 2\nconnected false\n"
+            "diameter inf\nmax-component-diameter 8\nfrozen none\ndistance 7\n"
+        )
+
+    def test_above_the_cap_uses_the_node_list(self, capsys, tmp_path, monkeypatch):
+        # 2**23 subsets exceed the default cap of 2**22
+        self.forbid(monkeypatch, "SubsetLattice")
+        graph = _graph_file(tmp_path, "star22", gen_star(22))
+        code, out, err = run(
+            capsys, "oracle", graph, "--k", "2", "--limit", "23", "--frozen",
+            "--distance", "1", "1,23",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "k 2\nnodes 23\nedges 22\ncomponents 1\nconnected true\n"
+            "frozen none\ndistance 1\n"
+        )
 
 
 class TestRepeatedCalls:

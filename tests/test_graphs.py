@@ -12,6 +12,7 @@ from domrecon.graphs import (
     Graph,
     GraphFormatError,
     LimitError,
+    SubsetFamilies,
     coverage,
     dominating_subsets,
     exact_invariants,
@@ -371,6 +372,21 @@ class TestGreedyMaximalIS:
                 s = greedy_maximal_is(g, seed)
                 assert seed <= s
                 assert is_minimal_dominating(g, s)
+
+
+class TestSubsetFamilies:
+    def test_against_subset_loops(self):
+        # every family, bit S, checked against the set with mask S
+        for g in helpers.seeded_small_graphs(13, max_n=8):
+            fam = SubsetFamilies(g)
+            subsets = range(1 << g.n)
+            assert fam.full == (1 << len(subsets)) - 1
+            for v in range(g.n):
+                assert set_of(fam.has[v]) == {s for s in subsets if s >> v & 1}
+            assert set_of(fam.dominating) == {s for s in subsets if is_dominating(g, set_of(s))}
+            for k in range(-1, g.n + 2):
+                want = {s for s in subsets if s.bit_count() <= k}
+                assert set_of(fam.size_at_most(k)) == want
 
 
 class TestExactInvariants:

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
 import helpers
 from domrecon import oracle
 from domrecon.graphs import Graph, LimitError, exact_invariants, set_of
-from domrecon.instances import gen_mynhardt
+from domrecon.instances import gen_grid, gen_mynhardt
 from domrecon.oracle import (
+    SubsetLattice,
     build_reconfig_graph,
     diameter,
     distance,
@@ -139,6 +141,95 @@ class TestDistance:
             rg.index_of({0})
         with pytest.raises(ValueError, match="not a node"):
             distance(rg, {0, 1, 2}, {1})
+
+
+class TestSubsetLattice:
+    """The lattice route agrees with R_k built from its definition."""
+
+    @staticmethod
+    def check(g, rng):
+        for k in range(g.n + 2):
+            lat = SubsetLattice(g, k)
+            nodes, adj = helpers.naive_reconfig_graph(g, k)
+            comp, ncomp = helpers.naive_label_components(adj)
+            assert (lat.num_nodes, lat.num_edges, lat.num_components) == (
+                len(nodes),
+                sum(map(len, adj)) // 2,
+                ncomp,
+            )
+            assert is_connected(lat) == (ncomp <= 1)
+            assert frozen_sets(lat) == [
+                set_of(mask) for mask, row in zip(nodes, adj) if not row
+            ]
+            if not nodes:
+                continue
+            pairs = [(rng.randrange(len(nodes)), rng.randrange(len(nodes))) for _ in range(3)]
+            # a pair across components, so the fill that misses B is checked
+            pairs.append((0, comp.index(ncomp - 1)))
+            for i, j in pairs:
+                a, b = set_of(nodes[i]), set_of(nodes[j])
+                assert distance(lat, a, b) == helpers.naive_distance(adj, i, j)
+
+    def test_connected_atlas(self, atlas_connected):
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for g in atlas_connected[n]:
+                self.check(g, rng)
+
+    def test_seeded_graphs(self):
+        rng = random.Random(12)
+        for g in helpers.seeded_small_graphs(10):
+            self.check(g, rng)
+
+    def test_empty_and_full_budgets(self):
+        # n = 1: R_0 is empty, and at k >= n the one node V is isolated
+        lat = SubsetLattice(Graph(1, []), 0)
+        assert (lat.num_nodes, lat.num_edges, lat.num_components) == (0, 0, 0)
+        assert is_connected(lat) and frozen_sets(lat) == []
+        for k in (1, 2):
+            lat = SubsetLattice(Graph(1, []), k)
+            assert (lat.num_nodes, lat.num_components) == (1, 1)
+            assert frozen_sets(lat) == [frozenset({0})]
+            assert distance(lat, {0}, {0}) == 0
+
+    @pytest.mark.parametrize(
+        "g,ks",
+        [(gen_mynhardt(3), (3, 4, 5, 10)), (gen_mynhardt(4), (6, 7)), (gen_grid(4, 5), (8,))],
+        ids=["mynhardt3", "mynhardt4", "grid4x5"],
+    )
+    def test_against_the_node_list(self, g, ks):
+        for k in ks:
+            rg = build_reconfig_graph(g, k)
+            lat = SubsetLattice(g, k)
+            assert (lat.num_nodes, lat.num_edges, lat.num_components) == (
+                rg.num_nodes,
+                rg.num_edges,
+                rg.num_components,
+            )
+            assert frozen_sets(lat) == frozen_sets(rg)
+            first, last = set_of(rg.nodes[0]), set_of(rg.nodes[-1])
+            assert distance(lat, first, last) == distance(rg, first, last)
+
+    def test_frozen_in_canonical_order(self):
+        # C4 at k = 2: six isolated pairs, {0,3} before {1,2} though 9 > 6
+        lat = SubsetLattice(cycle(4), 2)
+        assert lat.num_components == 6
+        assert [sorted(s) for s in frozen_sets(lat)] == [
+            [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]
+        ]
+
+    def test_unknown_node_and_limits(self):
+        lat = SubsetLattice(path(3), 2)
+        with pytest.raises(ValueError, match="set \\[1\\] is not a node of R_2"):
+            distance(lat, {0}, {1})
+        with pytest.raises(ValueError, match="nonnegative"):
+            SubsetLattice(path(3), -1)
+        with pytest.raises(LimitError, match="n <= 20"):
+            SubsetLattice(path(21), 2)
+        # 2**23 subsets exceed the default cap, checked before any family
+        assert oracle.LATTICE_MAX_N == 22
+        with pytest.raises(LimitError, match="lattice needs n <= 22, got 23"):
+            SubsetLattice(path(23), 2, limit=23)
 
 
 def atlas_reconfig_graphs(atlas_connected):
