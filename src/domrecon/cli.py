@@ -308,35 +308,25 @@ def cmd_oracle(args) -> int:
     limit = _limit(args, oracle.DEFAULT_VERTEX_LIMIT)
     if args.scan is not None:
         report = oracle.threshold_scan(g, args.scan, limit=limit)
+        table = [["k", "nodes", "edges", "components", "connected", "diameter"]]
+        table += [
+            [
+                rec.k,
+                rec.num_nodes,
+                rec.num_edges,
+                rec.num_components,
+                _bool(rec.connected),
+                rec.diameter,
+            ]
+            for rec in report.records
+        ]
         if args.csv:
-            writer = csv.writer(sys.stdout)
-            writer.writerow(
-                ["k", "nodes", "edges", "components", "connected", "diameter"]
-            )
-            for rec in report.records:
-                writer.writerow(
-                    [
-                        rec.k,
-                        rec.num_nodes,
-                        rec.num_edges,
-                        rec.num_components,
-                        _bool(rec.connected),
-                        rec.diameter,
-                    ]
-                )
+            csv.writer(sys.stdout).writerows(table)
         else:
             print(f"gamma {report.gamma}")
             print(f"gamma-upper {report.gamma_upper}")
-            print("k nodes edges components connected diameter")
-            for rec in report.records:
-                print(
-                    rec.k,
-                    rec.num_nodes,
-                    rec.num_edges,
-                    rec.num_components,
-                    _bool(rec.connected),
-                    rec.diameter,
-                )
+            for row in table:
+                print(*row)
             d0 = report.d0_empirical
             print(f"d0-empirical {'none' if d0 is None else d0}")
         return EXIT_OK

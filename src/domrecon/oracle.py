@@ -2,7 +2,8 @@
 
 Nodes of R_k(G) are all dominating sets of size <= k, edges join sets whose
 symmetric difference is a single vertex. build_reconfig_graph lists nodes
-and adjacency rows, as diameters and the scan need. SubsetLattice answers
+and adjacency rows, as diameters need; threshold_scan builds each R_k of
+its window this way, one at a time. SubsetLattice answers
 counts, components, frozen sets and distances on 2**n-bit families of all
 subsets instead, for 2**n <= DEFAULT_SUBSET_CAP (n <= 22), in about
 (n + log2(n) + 4) * 2**n bits: roughly 3 MiB at n = 20.
@@ -167,28 +168,26 @@ def _check_request(g: Graph, k: int, limit: int) -> None:
         raise LimitError(f"oracle needs n <= {limit}, got {g.n}")
 
 
-def _scan_estimate(n: int, k: int) -> int:
-    return sum(math.comb(n, s) for s in range(min(k, n) + 1))
+def _check_listing(g: Graph, k: int, limit: int) -> None:
+    _check_request(g, k, limit)
+    scanned = sum(math.comb(g.n, s) for s in range(min(k, g.n) + 1))
+    if scanned > DEFAULT_SUBSET_CAP:
+        raise LimitError(
+            f"scanning {scanned} subsets exceeds the cap {DEFAULT_SUBSET_CAP}"
+        )
 
 
 def build_reconfig_graph(
-    g: Graph,
-    k: int,
-    limit: int = DEFAULT_VERTEX_LIMIT,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
+    g: Graph, k: int, limit: int = DEFAULT_VERTEX_LIMIT
 ) -> ReconfigGraph:
     """Enumerate R_k(G).
 
     Nodes are collected in size-then-lexicographic order. Refuses when n
     exceeds the vertex limit or when the number of subsets to scan exceeds
-    subset_cap. k below the domination number yields an empty graph, which
-    is reported, not an error.
+    DEFAULT_SUBSET_CAP. k below the domination number yields an empty
+    graph, which is reported, not an error.
     """
-    _check_request(g, k, limit)
-    if _scan_estimate(g.n, k) > subset_cap:
-        raise LimitError(
-            f"scanning {_scan_estimate(g.n, k)} subsets exceeds the cap {subset_cap}"
-        )
+    _check_listing(g, k, limit)
     nodes = list(dominating_subsets(g, k))
     index = {mask: i for i, mask in enumerate(nodes)}
     adj: list[list[int]] = [[] for _ in nodes]
@@ -348,54 +347,47 @@ class ThresholdReport:
     d0_empirical: int | None
 
 
+def _scan_record(g: Graph, k: int, limit: int) -> ThresholdRecord:
+    # a function of its own, so that R_k is freed before R_k+1 is built
+    rg = build_reconfig_graph(g, k, limit)
+    # one all-sources BFS per record: when R_k is connected its diameter
+    # is the largest component diameter
+    widest = max_component_diameter(rg)
+    connected = is_connected(rg)
+    return ThresholdRecord(
+        k=k,
+        num_nodes=rg.num_nodes,
+        num_edges=rg.num_edges,
+        num_components=rg.num_components,
+        connected=connected,
+        diameter=widest if connected else math.inf,
+        max_component_diameter=widest,
+    )
+
+
 def threshold_scan(
-    g: Graph,
-    kmax: int,
-    limit: int = DEFAULT_VERTEX_LIMIT,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
+    g: Graph, kmax: int, limit: int = DEFAULT_VERTEX_LIMIT
 ) -> ThresholdReport:
     """Connectivity of R_k for k = gamma..kmax, plus the empirical threshold.
 
-    d0_empirical is the smallest k0 in the scanned window with R_k connected
-    for every k0 <= k <= kmax, or None when R_kmax itself is disconnected
-    (the threshold then lies outside the window). Known monotonicity, that
-    connectivity at some k > Gamma persists at k + 1, is checked on every
-    scan as a self-check of the enumeration.
+    Each R_k is built by build_reconfig_graph and measured by
+    max_component_diameter, one k at a time. d0_empirical is the smallest
+    k0 in the scanned window with R_k connected for every k0 <= k <= kmax,
+    or None when R_kmax itself is disconnected (the threshold then lies
+    outside the window). Known monotonicity, that connectivity at some
+    k > Gamma persists at k + 1, is checked on every scan as a self-check
+    of the enumeration.
     """
     if kmax > g.n:
         raise ValueError(f"kmax must be at most n={g.n}")
     if g.n > limit:
         raise LimitError(f"oracle needs n <= {limit}, got {g.n}")
+    # no R_k with k <= kmax scans more subsets than R_kmax, so each build
+    # below passes the checks made here, before exact_invariants
+    _check_listing(g, kmax, limit)
     inv = exact_invariants(g, limit=limit)
     gamma = inv.gamma_min
-    full_rg = build_reconfig_graph(g, kmax, limit=limit, subset_cap=subset_cap)
-    records: list[ThresholdRecord] = []
-    for k in range(gamma, kmax + 1):
-        # nodes are sorted by size, so R_k is the prefix of R_kmax's nodes
-        # of size <= k and its rows keep the neighbours inside that prefix;
-        # rows with no neighbour outside are shared, not copied, to keep the
-        # peak memory of the diameter pass down
-        m = sum(1 for mask in full_rg.nodes if mask.bit_count() <= k)
-        adj = tuple(
-            row if max(row, default=-1) < m else tuple(w for w in row if w < m)
-            for row in full_rg.adj[:m]
-        )
-        ncomp = _label_components(adj)[1]
-        # one all-sources BFS per record: when R_k is connected its diameter
-        # is the largest component diameter
-        widest = _eccentricities(adj)
-        connected = ncomp <= 1
-        records.append(
-            ThresholdRecord(
-                k=k,
-                num_nodes=m,
-                num_edges=sum(map(len, adj)) // 2,
-                num_components=ncomp,
-                connected=connected,
-                diameter=widest if connected else math.inf,
-                max_component_diameter=widest,
-            )
-        )
+    records = [_scan_record(g, k, limit) for k in range(gamma, kmax + 1)]
     for earlier, later in zip(records, records[1:]):
         if earlier.k > inv.gamma_upper and earlier.connected and not later.connected:
             raise RuntimeError(

@@ -94,6 +94,8 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDValidationReport:
         violations.append(
             f"{len(td.tree_edges)} tree edges for {b} bags (need {b - 1})"
         )
+    # parent[w]: the bag from which this walk first reached w; -1 for bag 0
+    parent = [-1] * b
     seen = {0}
     stack = [0]
     while stack:
@@ -101,6 +103,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDValidationReport:
         for w in adjacency[u]:
             if w not in seen:
                 seen.add(w)
+                parent[w] = u
                 stack.append(w)
     if len(seen) != b:
         violations.append("bag tree is disconnected")
@@ -123,17 +126,11 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDValidationReport:
         if holder_sets[u].isdisjoint(holder_sets[v]):
             violations.append(f"edge ({u + 1},{v + 1}) is inside no bag")
     if not violations:
+        # the bag tree is a tree here, so v's bags are connected iff exactly
+        # one of them is bag 0 or has a parent that does not hold v
         for v in range(g.n):
             holder_set = holder_sets[v]
-            reached = {holders[v][0]}
-            stack = [holders[v][0]]
-            while stack:
-                u = stack.pop()
-                for w in adjacency[u]:
-                    if w in holder_set and w not in reached:
-                        reached.add(w)
-                        stack.append(w)
-            if reached != holder_set:
+            if sum(parent[i] not in holder_set for i in holders[v]) != 1:
                 violations.append(f"bags containing vertex {v + 1} are not connected")
     return TDValidationReport(not violations, tuple(violations), td.width)
 

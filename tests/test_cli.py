@@ -6,7 +6,13 @@ import pytest
 from domrecon import oracle
 from domrecon.cli import _build_parser, main
 from domrecon.graphs import format_graph
-from domrecon.instances import gen_grid, gen_mynhardt, gen_star
+from domrecon.instances import (
+    gen_grid,
+    gen_mynhardt,
+    gen_path,
+    gen_star,
+    gen_suzuki_planar,
+)
 
 
 @pytest.fixture()
@@ -535,6 +541,90 @@ class TestOracleRoutes:
         assert out == (
             "k 2\nnodes 23\nedges 22\ncomponents 1\nconnected true\n"
             "frozen none\ndistance 1\n"
+        )
+
+
+class TestScanGolden:
+    """oracle --scan stdout, byte for byte, on the inputs of the oracle-scan
+    benchmark workload in generator numbering, and the scan's refusals."""
+
+    @pytest.mark.parametrize(
+        "name,g,kmax,text,rows",
+        [
+            (
+                "myn3",
+                gen_mynhardt(3),
+                10,
+                "gamma 3\ngamma-upper 3\nk nodes edges components connected diameter\n"
+                "3 37 0 37 false inf\n4 170 259 2 false inf\n5 386 1057 1 true 10\n"
+                "6 589 2137 1 true 10\n7 709 2949 1 true 10\n8 754 3309 1 true 10\n"
+                "9 764 3399 1 true 10\n10 765 3409 1 true 10\nd0-empirical 5\n",
+                "k,nodes,edges,components,connected,diameter\r\n"
+                "3,37,0,37,false,inf\r\n4,170,259,2,false,inf\r\n5,386,1057,1,true,10\r\n"
+                "6,589,2137,1,true,10\r\n7,709,2949,1,true,10\r\n8,754,3309,1,true,10\r\n"
+                "9,764,3399,1,true,10\r\n10,765,3409,1,true,10\r\n",
+            ),
+            (
+                "suzuki",
+                gen_suzuki_planar(),
+                9,
+                "gamma 3\ngamma-upper 3\nk nodes edges components connected diameter\n"
+                "3 34 0 34 false inf\n4 133 204 2 false inf\n5 253 699 1 true 9\n"
+                "6 337 1179 1 true 9\n7 373 1431 1 true 9\n8 382 1503 1 true 9\n"
+                "9 383 1512 1 true 9\nd0-empirical 5\n",
+                "k,nodes,edges,components,connected,diameter\r\n"
+                "3,34,0,34,false,inf\r\n4,133,204,2,false,inf\r\n5,253,699,1,true,9\r\n"
+                "6,337,1179,1,true,9\r\n7,373,1431,1,true,9\r\n8,382,1503,1,true,9\r\n"
+                "9,383,1512,1,true,9\r\n",
+            ),
+            (
+                "star8",
+                gen_star(8),
+                9,
+                "gamma 1\ngamma-upper 8\nk nodes edges components connected diameter\n"
+                "1 1 0 1 true 0\n2 9 8 1 true 2\n3 37 64 1 true 4\n4 93 232 1 true 6\n"
+                "5 163 512 1 true 8\n6 219 792 1 true 8\n7 247 960 1 true 8\n"
+                "8 256 1016 2 false inf\n9 257 1025 1 true 9\nd0-empirical 9\n",
+                "k,nodes,edges,components,connected,diameter\r\n"
+                "1,1,0,1,true,0\r\n2,9,8,1,true,2\r\n3,37,64,1,true,4\r\n4,93,232,1,true,6\r\n"
+                "5,163,512,1,true,8\r\n6,219,792,1,true,8\r\n7,247,960,1,true,8\r\n"
+                "8,256,1016,2,false,inf\r\n9,257,1025,1,true,9\r\n",
+            ),
+            (
+                "myn4",
+                gen_mynhardt(4),
+                5,
+                "gamma 4\ngamma-upper 4\nk nodes edges components connected diameter\n"
+                "4 321 0 321 false inf\n5 2414 4173 2 false inf\nd0-empirical none\n",
+                "k,nodes,edges,components,connected,diameter\r\n"
+                "4,321,0,321,false,inf\r\n5,2414,4173,2,false,inf\r\n",
+            ),
+        ],
+        ids=["mynhardt3", "suzuki", "star8", "mynhardt4"],
+    )
+    def test_stdout(self, capsys, tmp_path, name, g, kmax, text, rows):
+        graph = _graph_file(tmp_path, name, g)
+        assert run(capsys, "oracle", graph, "--scan", str(kmax)) == (0, text, "")
+        assert run(capsys, "oracle", graph, "--scan", str(kmax), "--csv") == (0, rows, "")
+
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (("--scan", "4"), 1, "error: kmax must be at most n=3\n"),
+            (("--scan", "-1"), 1, "error: k must be nonnegative\n"),
+            (("--scan", "-1", "--limit", "2"), 3, "limit: oracle needs n <= 2, got 3\n"),
+        ],
+    )
+    def test_refusals(self, capsys, p3, argv, code, err):
+        assert run(capsys, "oracle", p3, *argv) == (code, "", err)
+
+    def test_subset_cap_quotes_kmax(self, capsys, tmp_path):
+        # C(23, <= 23) = 2**23 subsets exceed the cap of 2**22
+        graph = _graph_file(tmp_path, "p23", gen_path(23))
+        assert run(capsys, "oracle", graph, "--scan", "23", "--limit", "23") == (
+            3,
+            "",
+            "limit: scanning 8388608 subsets exceeds the cap 4194304\n",
         )
 
 

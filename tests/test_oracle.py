@@ -102,7 +102,8 @@ class TestBuild:
         with pytest.raises(LimitError, match="n <= 20"):
             build_reconfig_graph(Graph(21, [(v, v + 1) for v in range(20)]), 2)
         with pytest.raises(LimitError, match="exceeds the cap"):
-            build_reconfig_graph(path(10), 10, subset_cap=100)
+            # C(23, <= 23) = 2**23 subsets exceed the cap of 2**22
+            build_reconfig_graph(path(23), 23, limit=23)
 
 
 class TestAgainstNaiveReconfigGraph:

@@ -84,3 +84,29 @@ def test_stdlib_only_imports():
                 if name.partition(".")[0] not in sys.stdlib_module_names | {"domrecon"}
             ]
     assert found == []
+
+
+def test_private_bfs_helpers_have_one_caller_each():
+    # threshold_scan measures each R_k through build_reconfig_graph and
+    # max_component_diameter, the public functions the benchmark tracer
+    # wraps, so the scan's time and BFS sources are counted where they run
+    path = Path(domrecon.__file__).parent / "oracle.py"
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and node.id in (
+            "_eccentricities",
+            "_label_components",
+        ):
+            found.add((node.id, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    assert found == {
+        ("_eccentricities", "diameter"),
+        ("_eccentricities", "max_component_diameter"),
+        ("_label_components", "build_reconfig_graph"),
+    }
