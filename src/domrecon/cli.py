@@ -11,7 +11,10 @@ Exit codes: 0 success/valid, 1 invalid input, 2 verification failure,
 3 resource limit, 4 assumption violated (density witness, impossible
 budget, inconsistent sweep inputs). The DOMRECON_LIMIT environment
 variable overrides the default brute-force vertex limits; an explicit
---limit flag wins over both.
+--limit flag wins over both. oracle checks the header's n against its
+limit before reading the rest of the file, so a valid header over the
+limit exits 3 even when malformed lines follow (--scan with KMAX above n
+still exits 1 first).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .graphs import (
     exact_invariants,
     format_graph,
     format_vertex_list,
+    header_n,
     is_connected,
     parse_graph,
     parse_vertex_list,
@@ -304,8 +308,17 @@ def cmd_oracle(args) -> int:
         _reject_flags(given, {"--csv"}, "--scan")
     else:
         _reject_flags(given, {"--distance", "--frozen", "--diameter"}, "--k")
-    g = parse_graph(_read(args.graph))
+    text = _read(args.graph)
     limit = _limit(args, oracle.DEFAULT_VERTEX_LIMIT)
+    # a header over the limit is refused before parse_graph builds n-bit
+    # masks, by the oracle's own checks in their order (kmax > n first)
+    n = header_n(text)
+    if n is not None and n > limit:
+        if args.scan is not None:
+            oracle.check_scan(n, args.scan, limit)
+        else:
+            oracle.check_request(n, args.k, limit)
+    g = parse_graph(text)
     if args.scan is not None:
         report = oracle.threshold_scan(g, args.scan, limit=limit)
         table = [["k", "nodes", "edges", "components", "connected", "diameter"]]

@@ -7,6 +7,8 @@ file format exist only inside parse_graph / format_graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import or_
 
 
 class GraphFormatError(ValueError):
@@ -104,6 +106,41 @@ def is_connected(g: Graph) -> bool:
     return seen == g.full_mask
 
 
+def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
+    if len(fields) != 4 or fields[1] != "ds":
+        raise GraphFormatError("header must be 'p ds <n> <m>'", lineno)
+    try:
+        n, declared_m = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise GraphFormatError("non-integer header field", lineno) from None
+    if n < 1:
+        raise GraphFormatError("vertex count must be at least 1", lineno)
+    if declared_m < 0:
+        raise GraphFormatError("negative edge count", lineno)
+    return n, declared_m
+
+
+def header_n(text: str) -> int | None:
+    """n from the 'p ds' header, read without building the graph.
+
+    None unless the first line that is not blank or a comment is a
+    well-formed header; parse_graph then reports what is wrong. Lets a
+    caller refuse an n over its limit before parse_graph builds n-bit masks.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line == "c" or line.startswith("c "):
+            continue
+        fields = line.split()
+        if fields[0] != "p":
+            return None
+        try:
+            return _parse_header(fields, lineno)[0]
+        except GraphFormatError:
+            return None
+    return None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the 'p ds <n> <m>' edge-list format (1-based, u < v)."""
     n = None
@@ -118,16 +155,7 @@ def parse_graph(text: str) -> Graph:
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError("duplicate header", lineno)
-            if len(fields) != 4 or fields[1] != "ds":
-                raise GraphFormatError("header must be 'p ds <n> <m>'", lineno)
-            try:
-                n, declared_m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise GraphFormatError("non-integer header field", lineno) from None
-            if n < 1:
-                raise GraphFormatError("vertex count must be at least 1", lineno)
-            if declared_m < 0:
-                raise GraphFormatError("negative edge count", lineno)
+            n, declared_m = _parse_header(fields, lineno)
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge before header", lineno)
@@ -330,26 +358,39 @@ def dominating_subsets(g: Graph, max_size: int):
     n = g.n
     nb = g.nb_mask
     full = g.full_mask
+    bits = [1 << v for v in range(n)]
     rest = [0] * (n + 1)
     for v in reversed(range(n)):
         rest[v] = rest[v + 1] | nb[v]
 
-    def walk(start, left, mask, cover):
-        # the dominating completions of a prefix by `left` more vertices
-        # from start..n-1, in lex order
-        if left == 1:
-            for v in range(start, n):
-                if cover | nb[v] == full:
-                    yield mask | 1 << v
-            return
-        for v in range(start, n - left + 1):
-            grown = cover | nb[v]
-            if grown | rest[v + 1] == full:
-                yield from walk(v + 1, left - 1, mask | 1 << v, grown)
-
-    # n >= 1, so the empty set never dominates
-    for size in range(1, min(max_size, n) + 1):
-        yield from walk(0, size, 0, 0)
+    if max_size < 1:  # n >= 1, so the empty set never dominates
+        return
+    yield from (bits[v] for v in range(n) if nb[v] == full)
+    for size in range(2, min(max_size, n) + 1):
+        # one entry per prefix on the current path, the empty one first:
+        # the iterator over the prefix's next vertex, its mask and its
+        # cover. One generator frame serves every prefix length, and a
+        # prefix one vertex short is completed where it is found.
+        stack = [(iter(range(n - size + 1)), 0, 0)]
+        while stack:
+            choices, mask, cover = stack[-1]
+            left = size - len(stack)  # vertices still to choose after v
+            for v in choices:
+                grown = cover | nb[v]
+                if grown | rest[v + 1] != full:
+                    continue
+                if left > 1:
+                    stack.append((iter(range(v + 1, n - left + 1)), mask | bits[v], grown))
+                    break
+                prefix = mask | bits[v]
+                if grown == full:
+                    yield from map(or_, repeat(prefix), bits[v + 1:])
+                    continue
+                for w in range(v + 1, n):
+                    if grown | nb[w] == full:
+                        yield prefix | bits[w]
+            else:
+                stack.pop()
 
 
 def greedy_maximal_is(g: Graph, seed=frozenset()) -> frozenset[int]:

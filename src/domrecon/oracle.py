@@ -15,7 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from itertools import compress, groupby
+from operator import itemgetter, ne, or_
 
 from .graphs import (
     Graph,
@@ -91,7 +92,7 @@ class SubsetLattice:
     node S is bit S of `family`, and index_of gives S's mask."""
 
     def __init__(self, g: Graph, k: int, limit: int = DEFAULT_VERTEX_LIMIT):
-        _check_request(g, k, limit)
+        check_request(g.n, k, limit)
         if g.n > LATTICE_MAX_N:
             raise LimitError(f"the lattice needs n <= {LATTICE_MAX_N}, got {g.n}")
         fam = SubsetFamilies(g)
@@ -161,15 +162,25 @@ def _fill(reached: int, family: int, has) -> int:
     return reached
 
 
-def _check_request(g: Graph, k: int, limit: int) -> None:
+def check_request(n: int, k: int, limit: int) -> None:
+    """The refusals of an R_k request on n vertices, before any work."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if g.n > limit:
-        raise LimitError(f"oracle needs n <= {limit}, got {g.n}")
+    if n > limit:
+        raise LimitError(f"oracle needs n <= {limit}, got {n}")
+
+
+def check_scan(n: int, kmax: int, limit: int) -> None:
+    """The refusals of threshold_scan on n vertices that come before its
+    per-k checks; kmax above n is refused first."""
+    if kmax > n:
+        raise ValueError(f"kmax must be at most n={n}")
+    if n > limit:
+        raise LimitError(f"oracle needs n <= {limit}, got {n}")
 
 
 def _check_listing(g: Graph, k: int, limit: int) -> None:
-    _check_request(g, k, limit)
+    check_request(g.n, k, limit)
     scanned = sum(math.comb(g.n, s) for s in range(min(k, g.n) + 1))
     if scanned > DEFAULT_SUBSET_CAP:
         raise LimitError(
@@ -283,31 +294,82 @@ def _eccentricities(adj) -> int:
     eccentricity among the block's sources. A row stops growing once it
     holds every block source of its own component, so a disconnected graph
     needs no special case.
+
+    The rows are relabelled by decreasing degree, so the nodes of each
+    degree d form one run, and slot t of a run, the t-th neighbour of each
+    of its nodes, is one itemgetter, built once per call. A round whose
+    grown rows hold at least two thirds of the neighbour slots is wide: it
+    ORs each run's rows with its d slots in one chain of C-level map
+    passes and reads the rows that grew back with compress. A narrower
+    round loops over the neighbours of the grown rows only, which wins on
+    large R_k, where a block's frontier often covers a small part of the
+    graph. Both leave the same rows. Memory: two generations of len(adj)
+    rows of _BLOCK bits, and 2E slot indices.
     """
     n = len(adj)
-    best = 0
-    for lo in range(0, n, _BLOCK):
-        reach = [0] * n
-        grown = range(lo, min(lo + _BLOCK, n))
-        for bit, s in enumerate(grown):
-            reach[s] = 1 << bit
+    order = sorted(range(n), key=list(map(len, adj)).__getitem__, reverse=True)
+    label = [0] * n
+    for i, u in enumerate(order):
+        label[u] = i
+    nbrs = [tuple(map(label.__getitem__, adj[u])) for u in order]
+    del order  # its ints are not the labels: free them before the rounds
+    degree = list(map(len, nbrs))
+    runs = []  # (lo, hi, slots) for the nodes lo..hi-1, all of degree d > 0
+    lo = 0
+    for d, run in groupby(degree):
+        hi = lo + sum(1 for _ in run)
+        if d:
+            columns = [list(map(itemgetter(t), nbrs[lo:hi])) for t in range(d)]
+            # one index would make itemgetter return the row, not a sequence
+            runs.append((lo, hi, [
+                itemgetter(*col) if hi - lo > 1 else itemgetter(slice(col[0], col[0] + 1))
+                for col in columns
+            ]))
+        lo = hi
+    return max(
+        (_block_rounds(label[lo:lo + _BLOCK], nbrs, degree, runs)
+         for lo in range(0, n, _BLOCK)),
+        default=0,
+    )
+
+
+def _block_rounds(sources: list[int], nbrs, degree, runs) -> int:
+    # the rounds of _eccentricities for one block of sources; a function of
+    # its own, so that no generation of rows outlives its block
+    n = len(nbrs)
+    total = sum(degree)
+    reach = [0] * n
+    for bit, s in enumerate(sources):
+        reach[s] = 1 << bit
+    grown = sources
+    rounds = -1  # the sources' own rows are round 0
+    while grown:
+        rounds += 1
+        if 3 * sum(map(degree.__getitem__, grown)) >= 2 * total:
+            # a wide round: every slot reads last round's rows, and the new
+            # rows go to a fresh list
+            new = reach[:]
+            for lo, hi, slots in runs:
+                ored = reach[lo:hi]
+                for slot in slots:
+                    ored = map(or_, ored, slot(reach))
+                new[lo:hi] = ored
+            grown = list(compress(range(n), map(ne, new, reach)))
+            reach = new
+            continue
         row_of = reach.__getitem__
-        rounds = -1  # the sources' own rows are round 0
-        while grown:
-            rounds += 1
-            ids, rows = [], []
-            for u in set().union(*[adj[w] for w in grown]):
-                old = reach[u]
-                row = reduce(or_, map(row_of, adj[u]), old)
-                if row != old:
-                    ids.append(u)
-                    rows.append(row)
-            # written after the round, so every row read above is last round's
-            for u, row in zip(ids, rows):
-                reach[u] = row
-            grown = ids
-        best = max(best, rounds)
-    return best
+        ids, rows = [], []
+        for u in set().union(*map(nbrs.__getitem__, grown)):
+            old = reach[u]
+            row = reduce(or_, map(row_of, nbrs[u]), old)
+            if row != old:
+                ids.append(u)
+                rows.append(row)
+        # written after the round, so every row read above is last round's
+        for u, row in zip(ids, rows):
+            reach[u] = row
+        grown = ids
+    return rounds
 
 
 def diameter(rg: ReconfigGraph) -> int | float:
@@ -378,10 +440,7 @@ def threshold_scan(
     k > Gamma persists at k + 1, is checked on every scan as a self-check
     of the enumeration.
     """
-    if kmax > g.n:
-        raise ValueError(f"kmax must be at most n={g.n}")
-    if g.n > limit:
-        raise LimitError(f"oracle needs n <= {limit}, got {g.n}")
+    check_scan(g.n, kmax, limit)
     # no R_k with k <= kmax scans more subsets than R_kmax, so each build
     # below passes the checks made here, before exact_invariants
     _check_listing(g, kmax, limit)

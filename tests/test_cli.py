@@ -5,7 +5,7 @@ import pytest
 
 from domrecon import oracle
 from domrecon.cli import _build_parser, main
-from domrecon.graphs import format_graph
+from domrecon.graphs import Graph, format_graph
 from domrecon.instances import (
     gen_grid,
     gen_mynhardt,
@@ -461,6 +461,34 @@ class TestOracle:
         assert out == ""
         assert "--csv does not apply to --k" in err
 
+    @pytest.mark.parametrize("body", ["", "e 1 2\nbogus line\n"], ids=["edgeless", "malformed"])
+    @pytest.mark.parametrize("mode", [("--k", "2"), ("--scan", "3")], ids=["k", "scan"])
+    def test_header_over_the_limit_builds_no_graph(self, capsys, tmp_path, monkeypatch, mode, body):
+        # refused on the header's n, before the n-bit masks of a Graph are
+        # built, so lines after the header are not read
+        f = tmp_path / "big.gr"
+        f.write_text("p ds 40000 0\n" + body)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(Graph, "__init__", forbidden)
+        assert run(capsys, "oracle", str(f), *mode) == (
+            3,
+            "",
+            "limit: oracle needs n <= 20, got 40000\n",
+        )
+
+    def test_header_over_the_limit_keeps_the_scan_order(self, capsys, tmp_path):
+        # kmax above n is still refused first, with exit 1
+        f = tmp_path / "big.gr"
+        f.write_text("c comment\np ds 40000 0\n")
+        assert run(capsys, "oracle", str(f), "--scan", "40001") == (
+            1,
+            "",
+            "error: kmax must be at most n=40000\n",
+        )
+
     def test_mode_required(self, capsys, p3):
         with pytest.raises(SystemExit) as info:
             main(["oracle", p3])
@@ -528,6 +556,21 @@ class TestOracleRoutes:
             "k 4\nnodes 170\nedges 259\ncomponents 2\nconnected false\n"
             "diameter inf\nmax-component-diameter 8\nfrozen none\ndistance 7\n"
         )
+
+    @pytest.mark.parametrize(
+        "k,want",
+        [
+            # 2,414 nodes, three source blocks
+            (5, "k 5\nnodes 2414\nedges 4173\ncomponents 2\nconnected false\n"
+                "diameter inf\nmax-component-diameter 10\n"),
+            # 9,132 nodes, nine source blocks
+            (6, "k 6\nnodes 9132\nedges 29289\ncomponents 2\nconnected false\n"
+                "diameter inf\nmax-component-diameter 12\n"),
+        ],
+    )
+    def test_diameter_golden_mynhardt4(self, capsys, tmp_path, k, want):
+        graph = _graph_file(tmp_path, "myn4", gen_mynhardt(4))
+        assert run(capsys, "oracle", graph, "--k", str(k), "--diameter") == (0, want, "")
 
     def test_above_the_cap_uses_the_node_list(self, capsys, tmp_path, monkeypatch):
         # 2**23 subsets exceed the default cap of 2**22

@@ -29,7 +29,7 @@ from domrecon.graphs import (
     reduce_to_minimal,
     set_of,
 )
-from domrecon.instances import gen_mynhardt, gen_mynhardt_td
+from domrecon.instances import gen_mynhardt, gen_mynhardt_td, gen_star
 from domrecon.oracle import build_reconfig_graph
 from domrecon.sequences import Move, shrink_walk
 from domrecon.treewidth import treewidth_transform
@@ -352,6 +352,12 @@ class TestDominatingSubsets:
         for g in graphs:
             first = next(dominating_subsets(g, g.n))
             assert set_of(first) == exact_invariants(g).witness_min_ds
+
+
+def test_dominating_subsets_is_lazy():
+    # the first set comes before any larger one is walked: on a 41-vertex
+    # star the walk up to size 41 would list 2**40 + 1 sets
+    assert next(dominating_subsets(gen_star(40), 41)) == 1
 
 
 class TestGreedyMaximalIS:

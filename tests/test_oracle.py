@@ -1,6 +1,9 @@
+import collections
 import dataclasses
+import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -248,6 +251,18 @@ def naive_diameters(adj) -> tuple[int, int | float]:
     return widest, (widest if ncomp <= 1 else math.inf)
 
 
+@functools.cache
+def seeded_reconfig_graphs():
+    """(R_k, naive_diameters) for gamma <= k <= n on the seeded small graphs
+    up to n = 7: edgeless, complete, split in two halves and random."""
+    cases = []
+    for g in helpers.seeded_small_graphs(10, max_n=7):
+        for k in range(exact_invariants(g).gamma_min, g.n + 1):
+            rg = build_reconfig_graph(g, k)
+            cases.append((rg, naive_diameters(rg.adj)))
+    return cases
+
+
 def peripheral_last(rg):
     """rg with its nodes reordered by eccentricity, the peripheral ones last."""
     ecc = [helpers.naive_eccentricity(rg.adj, s) for s in range(rg.num_nodes)]
@@ -290,6 +305,43 @@ class TestAgainstNaiveBFS:
                 assert (max_component_diameter(view), diameter(view)) == want
             checked += 1
         assert checked == 126
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_wide_and_narrow_rounds(self, monkeypatch, block):
+        # compress runs only in wide rounds and reduce only in narrow ones,
+        # so counting their calls shows that each block size ran both kinds
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        calls = collections.Counter()
+
+        def counted(kind, real):
+            def call(*args):
+                calls[kind] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(oracle, "compress", counted("wide", oracle.compress))
+        monkeypatch.setattr(oracle, "reduce", counted("narrow", oracle.reduce))
+        cases = seeded_reconfig_graphs()
+        assert any(not row for rg, _ in cases for row in rg.adj)
+        assert any(rg.num_components > 1 for rg, _ in cases)
+        for rg, want in cases:
+            assert (max_component_diameter(rg), diameter(rg)) == want
+        assert calls["wide"] and calls["narrow"]
+
+    def test_kernel_memory_mynhardt4_r5(self):
+        # R_5 is the largest R_k of the oracle-scan benchmark workload. The
+        # frontier-loop kernel alone peaked at 1,001,940 traced bytes here;
+        # the bound allows half as much again, so that the kernel cannot
+        # quietly push that workload's peak_mb towards its bound
+        rg = build_reconfig_graph(gen_mynhardt(4), 5)
+        tracemalloc.start()
+        try:
+            assert max_component_diameter(rg) == 10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 1_001_940
 
     def test_scan_mynhardt3_to_k8(self):
         g = gen_mynhardt(3)
