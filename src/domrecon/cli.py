@@ -11,10 +11,10 @@ Exit codes: 0 success/valid, 1 invalid input, 2 verification failure,
 3 resource limit, 4 assumption violated (density witness, impossible
 budget, inconsistent sweep inputs). The DOMRECON_LIMIT environment
 variable overrides the default brute-force vertex limits; an explicit
---limit flag wins over both. oracle checks the header's n against its
-limit before reading the rest of the file, so a valid header over the
-limit exits 3 even when malformed lines follow (--scan with KMAX above n
-still exits 1 first).
+--limit flag wins over both. stats and oracle check the header's n
+against their limit before reading the rest of the file, so a valid
+header over the limit exits 3 even when malformed lines follow (oracle
+--scan with KMAX above n still exits 1 first).
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import os
 import sys
 
 from . import instances, oracle
-from .general import UnreachableError, general_transform
+from .general import general_transform
 from .graphs import (
-    GraphFormatError,
     LimitError,
+    check_invariants_limit,
+    content_lines,
     exact_invariants,
     format_graph,
     format_vertex_list,
@@ -39,19 +40,8 @@ from .graphs import (
     parse_vertex_list,
 )
 from .minor_sparse import DensityWitness, NotMinorSparseError, minor_sparse_transform
-from .sequences import (
-    SequenceFormatError,
-    format_sequence,
-    parse_sequence,
-    verify_sequence,
-)
-from .treewidth import (
-    DecompositionError,
-    SweepError,
-    format_td,
-    parse_td,
-    treewidth_transform,
-)
+from .sequences import format_sequence, parse_sequence, verify_sequence
+from .treewidth import format_td, parse_td, treewidth_transform
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -160,8 +150,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    g = parse_graph(_read(args.graph))
-    inv = exact_invariants(g, limit=_limit(args, 24))
+    text = _read(args.graph)
+    limit = _limit(args, 24)
+    # a header over the limit is refused before parse_graph builds n-bit masks
+    n = header_n(text)
+    if n is not None:
+        check_invariants_limit(n, limit)
+    g = parse_graph(text)
+    inv = exact_invariants(g, limit=limit)
     fields = [
         ("n", g.n),
         ("m", g.m),
@@ -278,10 +274,8 @@ def cmd_transform(args) -> int:
 
 
 def _read_set_file(path: str) -> frozenset[int]:
-    for line in _read(path).splitlines():
-        line = line.strip()
-        if line and line != "c" and not line.startswith("c "):
-            return parse_vertex_list(line)
+    for _, fields in content_lines(_read(path)):
+        return parse_vertex_list(" ".join(fields))
     raise ValueError(f"{path} contains no vertex list")
 
 
@@ -448,9 +442,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, SequenceFormatError, DecompositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except LimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -458,9 +449,6 @@ def main(argv=None) -> int:
         print(f"assumption violated: {exc}", file=sys.stderr)
         for line in _witness_lines(exc.witness):
             print(line, file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except (UnreachableError, SweepError) as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,14 +11,19 @@ from itertools import repeat
 from operator import or_
 
 
-class GraphFormatError(ValueError):
-    """Raised on malformed graph files. Carries the offending 1-based line."""
+class FormatError(ValueError):
+    """A malformed input file. Carries the offending 1-based line, or None
+    when an end-of-input check fails (a missing line, a count mismatch)."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class GraphFormatError(FormatError):
+    """Raised on malformed graph files."""
 
 
 class LimitError(RuntimeError):
@@ -89,30 +94,56 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def bfs_levels(adj, source: int, seen: bytearray):
+    """Yield the BFS frontiers from source, one list per level.
+
+    adj[u] holds the neighbours of node u. Marks each node in seen when it
+    is reached and never enters a node already marked, so when level h is
+    yielded the marks added so far are exactly the nodes within distance h
+    of source.
+    """
+    seen[source] = 1
+    frontier = [source]
+    while frontier:
+        yield frontier
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        frontier = nxt
+
+
 def is_connected(g: Graph) -> bool:
     """BFS connectivity; single-vertex graphs count as connected."""
-    seen = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            fresh = g.adj_mask[v] & ~seen
-            seen |= fresh
-            while fresh:
-                low = fresh & -fresh
-                nxt.append(low.bit_length() - 1)
-                fresh ^= low
-        frontier = nxt
-    return seen == g.full_mask
+    return sum(map(len, bfs_levels(g._adj, 0, bytearray(g.n)))) == g.n
+
+
+def content_lines(text: str):
+    """Yield (lineno, fields) for each line that is not blank or a comment.
+
+    The one comment rule of every file format: a line that is 'c' or starts
+    with 'c ' once stripped. lineno is 1-based; fields is the split line.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line != "c" and not line.startswith("c "):
+            yield lineno, line.split()
+
+
+def int_fields(fields, error: type[FormatError], what: str, lineno: int) -> list[int]:
+    """fields as ints, or error(f"non-integer {what}", lineno)."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise error(f"non-integer {what}", lineno) from None
 
 
 def _parse_header(fields: list[str], lineno: int) -> tuple[int, int]:
     if len(fields) != 4 or fields[1] != "ds":
         raise GraphFormatError("header must be 'p ds <n> <m>'", lineno)
-    try:
-        n, declared_m = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise GraphFormatError("non-integer header field", lineno) from None
+    n, declared_m = int_fields(fields[2:], GraphFormatError, "header field", lineno)
     if n < 1:
         raise GraphFormatError("vertex count must be at least 1", lineno)
     if declared_m < 0:
@@ -127,11 +158,7 @@ def header_n(text: str) -> int | None:
     well-formed header; parse_graph then reports what is wrong. Lets a
     caller refuse an n over its limit before parse_graph builds n-bit masks.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
+    for lineno, fields in content_lines(text):
         if fields[0] != "p":
             return None
         try:
@@ -147,11 +174,7 @@ def parse_graph(text: str) -> Graph:
     declared_m = 0
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
+    for lineno, fields in content_lines(text):
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError("duplicate header", lineno)
@@ -455,8 +478,7 @@ def exact_invariants(g: Graph, limit: int = 24) -> GraphInvariants:
     17.7 s and 15 MiB for the subset-by-subset enumeration it replaces;
     at n = 20 it took 0.016 s and 19 MiB against 1.1 s and 15 MiB.
     """
-    if g.n > limit:
-        raise LimitError(f"exact_invariants needs n <= {limit}, got {g.n}")
+    check_invariants_limit(g.n, limit)
     fam = SubsetFamilies(g)
     minimal = _minimal_dominating(fam)
     independent = _independent(g, fam)
@@ -471,6 +493,13 @@ def exact_invariants(g: Graph, limit: int = 24) -> GraphInvariants:
         witness_upper_ds=upper_ds,
         witness_max_is=max_is,
     )
+
+
+def check_invariants_limit(n: int, limit: int) -> None:
+    """Refuse, as exact_invariants does, an n above the vertex limit; lets a
+    caller refuse a graph file's header before the graph is built."""
+    if n > limit:
+        raise LimitError(f"exact_invariants needs n <= {limit}, got {n}")
 
 
 class SubsetFamilies:

@@ -22,6 +22,7 @@ from .graphs import (
     Graph,
     LimitError,
     SubsetFamilies,
+    bfs_levels,
     dominating_subsets,
     exact_invariants,
     mask_of,
@@ -74,7 +75,7 @@ class ReconfigGraph:
         if self.comp[ia] != self.comp[ib]:
             return math.inf
         seen = bytearray(self.num_nodes)
-        for hops, _level in enumerate(_bfs_levels(self.adj, ia, seen)):
+        for hops, _level in enumerate(bfs_levels(self.adj, ia, seen)):
             if seen[ib]:
                 return hops
         raise RuntimeError("BFS must reach a node of the same component")
@@ -233,26 +234,6 @@ def build_reconfig_graph(
     return rg
 
 
-def _bfs_levels(adj, source: int, seen: bytearray):
-    """Yield the BFS frontiers from source, one list per level.
-
-    Marks each node in seen when it is reached and never enters a node
-    already marked, so when level h is yielded the marks added so far are
-    exactly the nodes within distance h of source.
-    """
-    seen[source] = 1
-    frontier = [source]
-    while frontier:
-        yield frontier
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    nxt.append(w)
-        frontier = nxt
-
-
 def _label_components(adj) -> tuple[tuple[int, ...], int]:
     # labels in node order: component ids follow each component's first node
     comp = [-1] * len(adj)
@@ -261,7 +242,7 @@ def _label_components(adj) -> tuple[tuple[int, ...], int]:
     for s in range(len(adj)):
         if seen[s]:
             continue
-        for level in _bfs_levels(adj, s, seen):
+        for level in bfs_levels(adj, s, seen):
             for u in level:
                 comp[u] = num_components
         num_components += 1

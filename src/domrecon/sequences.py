@@ -10,20 +10,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import CoverCounts, Graph, greedy_removals, is_dominating
+from .graphs import (
+    CoverCounts,
+    FormatError,
+    Graph,
+    content_lines,
+    greedy_removals,
+    int_fields,
+    is_dominating,
+)
 
 ADD = "add"
 REMOVE = "remove"
 
 
-class SequenceFormatError(ValueError):
-    """Raised on malformed sequence files. Carries the 1-based line."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class SequenceFormatError(FormatError):
+    """Raised on malformed sequence files."""
 
 
 @dataclass(frozen=True)
@@ -262,20 +264,13 @@ def parse_sequence(text: str) -> ReconfigSequence:
     length = None
     start: frozenset[int] | None = None
     moves: list[Move] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
+    for lineno, fields in content_lines(text):
         if fields[0] == "s":
             if k is not None:
                 raise SequenceFormatError("duplicate header", lineno)
             if len(fields) != 4 or fields[1] != "tar":
                 raise SequenceFormatError("header must be 's tar <k> <length>'", lineno)
-            try:
-                k, length = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise SequenceFormatError("non-integer header field", lineno) from None
+            k, length = int_fields(fields[2:], SequenceFormatError, "header field", lineno)
             if k < 0 or length < 0:
                 raise SequenceFormatError("negative header field", lineno)
         elif fields[0] == "d":
@@ -283,10 +278,7 @@ def parse_sequence(text: str) -> ReconfigSequence:
                 raise SequenceFormatError("start set before header", lineno)
             if start is not None:
                 raise SequenceFormatError("duplicate start set", lineno)
-            try:
-                ids = [int(f) for f in fields[1:]]
-            except ValueError:
-                raise SequenceFormatError("non-integer vertex id", lineno) from None
+            ids = int_fields(fields[1:], SequenceFormatError, "vertex id", lineno)
             if any(i < 1 for i in ids):
                 raise SequenceFormatError("vertex ids are 1-based", lineno)
             if len(set(ids)) != len(ids):

@@ -16,9 +16,12 @@ from functools import cached_property
 
 from .graphs import (
     CoverCounts,
+    FormatError,
     Graph,
     LimitError,
+    content_lines,
     dominating_subsets,
+    int_fields,
     is_dominating,
     mask_of,
     set_of,
@@ -34,14 +37,8 @@ from .sequences import (
 )
 
 
-class DecompositionError(ValueError):
+class DecompositionError(FormatError):
     """Raised when a tree decomposition fails validation or parsing."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class SweepError(RuntimeError):
@@ -503,14 +500,10 @@ def parse_td(text: str) -> TreeDecomposition:
     Bag ids and vertex ids are 1-based; the b - 1 remaining lines are tree
     edges between bag ids. The root defaults to the last bag.
     """
-    header: tuple[int, int, int] | None = None
+    header: list[int] | None = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        fields = line.split()
+    for lineno, fields in content_lines(text):
         if fields[0] == "s":
             if header is not None:
                 raise DecompositionError("duplicate header", lineno)
@@ -518,19 +511,13 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise DecompositionError(
                     "header must be 's td <bags> <maxbagsize> <n>'", lineno
                 )
-            try:
-                header = (int(fields[2]), int(fields[3]), int(fields[4]))
-            except ValueError:
-                raise DecompositionError("non-integer header field", lineno) from None
+            header = int_fields(fields[2:], DecompositionError, "header field", lineno)
             if header[0] < 1 or header[1] < 0 or header[2] < 1:
                 raise DecompositionError("header fields out of range", lineno)
         elif fields[0] == "b":
             if header is None:
                 raise DecompositionError("bag before header", lineno)
-            try:
-                ids = [int(f) for f in fields[1:]]
-            except ValueError:
-                raise DecompositionError("non-integer bag line", lineno) from None
+            ids = int_fields(fields[1:], DecompositionError, "bag line", lineno)
             if not ids:
                 raise DecompositionError("bag line without id", lineno)
             bag_id, vertices = ids[0], ids[1:]
@@ -554,10 +541,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise DecompositionError("tree edge before header", lineno)
             if len(fields) != 2:
                 raise DecompositionError("tree edge line must be '<i> <j>'", lineno)
-            try:
-                i, j = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise DecompositionError("non-integer tree edge", lineno) from None
+            i, j = int_fields(fields, DecompositionError, "tree edge", lineno)
             if not (1 <= i <= header[0] and 1 <= j <= header[0]) or i == j:
                 raise DecompositionError(f"tree edge ({i},{j}) out of range", lineno)
             edges.append((i - 1, j - 1))

@@ -3,9 +3,10 @@ import io
 
 import pytest
 
-from domrecon import oracle
+from domrecon import cli, oracle
 from domrecon.cli import _build_parser, main
-from domrecon.graphs import Graph, format_graph
+from domrecon.general import UnreachableError
+from domrecon.graphs import Graph, GraphFormatError, LimitError, format_graph
 from domrecon.instances import (
     gen_grid,
     gen_mynhardt,
@@ -13,6 +14,9 @@ from domrecon.instances import (
     gen_star,
     gen_suzuki_planar,
 )
+from domrecon.minor_sparse import DensityEntry, DensityWitness, NotMinorSparseError
+from domrecon.sequences import SequenceFormatError
+from domrecon.treewidth import DecompositionError, SweepError
 
 
 @pytest.fixture()
@@ -42,6 +46,43 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestExitCodes:
+    """main maps each exception a command raises to an exit code and a
+    stderr text; here stats raises it from its first file read."""
+
+    CASES = [
+        (GraphFormatError("bad edge", 3), 1, "error: line 3: bad edge\n"),
+        (SequenceFormatError("bad move", 2), 1, "error: line 2: bad move\n"),
+        (DecompositionError("missing 's td' header"), 1, "error: missing 's td' header\n"),
+        (LimitError("too big"), 3, "limit: too big\n"),
+        (
+            NotMinorSparseError(
+                2, DensityWitness(2, (DensityEntry(0, (4, 1), (5, 0)),)), {0}, {4}
+            ),
+            4,
+            "assumption violated: no swap exists and the search certifies a"
+            " bipartite minor of average degree >= 2; the graph is not"
+            " 2-minor-sparse\ndense minor certificate, average degree >= 2:\n"
+            "  a 1: b 5 via x 6; b 2 via x 1\n",
+        ),
+        (UnreachableError("frozen"), 4, "assumption violated: frozen\n"),
+        (SweepError("bag 2"), 4, "assumption violated: bag 2\n"),
+        (ValueError("bad value"), 1, "error: bad value\n"),
+        (OSError("no file"), 1, "error: no file\n"),
+        (RuntimeError("broken"), 4, "assumption violated: broken\n"),
+    ]
+
+    @pytest.mark.parametrize(
+        "exc, code, err", CASES, ids=[type(exc).__name__ for exc, _, _ in CASES]
+    )
+    def test_exception_to_exit(self, capsys, monkeypatch, p3, exc, code, err):
+        def raising(path):
+            raise exc
+
+        monkeypatch.setattr(cli, "_read", raising)
+        assert run(capsys, "stats", p3) == (code, "", err)
 
 
 class TestGen:
@@ -462,8 +503,18 @@ class TestOracle:
         assert "--csv does not apply to --k" in err
 
     @pytest.mark.parametrize("body", ["", "e 1 2\nbogus line\n"], ids=["edgeless", "malformed"])
-    @pytest.mark.parametrize("mode", [("--k", "2"), ("--scan", "3")], ids=["k", "scan"])
-    def test_header_over_the_limit_builds_no_graph(self, capsys, tmp_path, monkeypatch, mode, body):
+    @pytest.mark.parametrize(
+        "command, mode, err",
+        [
+            ("oracle", ("--k", "2"), "limit: oracle needs n <= 20, got 40000\n"),
+            ("oracle", ("--scan", "3"), "limit: oracle needs n <= 20, got 40000\n"),
+            ("stats", (), "limit: exact_invariants needs n <= 24, got 40000\n"),
+        ],
+        ids=["k", "scan", "stats"],
+    )
+    def test_header_over_the_limit_builds_no_graph(
+        self, capsys, tmp_path, monkeypatch, command, mode, err, body
+    ):
         # refused on the header's n, before the n-bit masks of a Graph are
         # built, so lines after the header are not read
         f = tmp_path / "big.gr"
@@ -473,11 +524,7 @@ class TestOracle:
             raise AssertionError("a Graph was built")
 
         monkeypatch.setattr(Graph, "__init__", forbidden)
-        assert run(capsys, "oracle", str(f), *mode) == (
-            3,
-            "",
-            "limit: oracle needs n <= 20, got 40000\n",
-        )
+        assert run(capsys, command, str(f), *mode) == (3, "", err)
 
     def test_header_over_the_limit_keeps_the_scan_order(self, capsys, tmp_path):
         # kmax above n is still refused first, with exit 1

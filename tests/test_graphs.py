@@ -78,6 +78,11 @@ class TestGraph:
         assert is_connected(Graph(1, []))
         assert not is_connected(Graph(2, []))
         assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
+        # a random 2,000-vertex tree, whole and with one edge dropped
+        rng = random.Random(2000)
+        tree = [(v, rng.randrange(v)) for v in range(1, 2000)]
+        assert is_connected(Graph(2000, tree))
+        assert not is_connected(Graph(2000, tree[:999] + tree[1000:]))
 
 
 class TestGraphFormat:

@@ -8,11 +8,14 @@ edits reach the checks behind the header. Integers stay in -3..50, so no header
 asks for a huge graph.
 """
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domrecon.graphs import GraphFormatError, parse_graph, parse_vertex_list
+from domrecon.graphs import GraphFormatError, header_n, parse_graph, parse_vertex_list
 from domrecon.sequences import SequenceFormatError, parse_sequence
 from domrecon.treewidth import DecompositionError, parse_td
 
@@ -89,6 +92,37 @@ def test_unedited_documents_parse():
 def test_every_single_edit(parse, error, doc):
     for text in single_edits(doc):
         check_format_error(parse, error, text)
+
+
+def error_rows():
+    """(parser, text, error class, message, line, header_n(text)) for every
+    one- and two-edit variant of each document, then a few bare texts."""
+    for parse, doc in ((parse_graph, GRAPH), (parse_sequence, SEQUENCE), (parse_td, TD)):
+        variants = set()
+        for once in single_edits(doc):
+            variants.add(once)
+            variants.update(single_edits(once))
+        for text in [*sorted(variants), "", "c", "p", "s", "x y"]:
+            try:
+                parse(text)
+                row = [None, None, None]
+            except ValueError as exc:
+                row = [type(exc).__name__, str(exc), exc.line]
+            yield [parse.__name__, text, *row, header_n(text)]
+
+
+def test_error_texts_golden():
+    # pins every message, line number and error class the parsers give on
+    # these texts, and what header_n reads from them
+    digest = hashlib.sha256()
+    count = 0
+    for row in error_rows():
+        digest.update(json.dumps(row).encode() + b"\n")
+        count += 1
+    assert count == 29527
+    assert digest.hexdigest() == (
+        "bc3a517bd8fe8f113c492ded01228fb9d62ecdfc549fcf8b8bc8020b4cda12cf"
+    )
 
 
 @FUZZ

@@ -110,3 +110,37 @@ def test_private_bfs_helpers_have_one_caller_each():
         ("_eccentricities", "max_component_diameter"),
         ("_label_components", "build_reconfig_graph"),
     }
+
+
+def test_comment_rule_only_in_content_lines():
+    # every file format skips the same comment lines ('c' or 'c ...'),
+    # decided once by graphs.content_lines
+    sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    found = set()
+
+    def is_comment_test(node):
+        # x == "c", x != "c" or x.startswith("c ")
+        if isinstance(node, ast.Compare):
+            return any(
+                isinstance(side, ast.Constant) and side.value == "c"
+                for side in node.comparators
+            )
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "startswith"
+            and any(isinstance(arg, ast.Constant) and arg.value == "c " for arg in node.args)
+        )
+
+    def visit(node, path, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if is_comment_test(node):
+            found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sources:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    assert found == {("graphs.py", "content_lines")}
