@@ -24,6 +24,7 @@ import csv
 import functools
 import os
 import sys
+import warnings
 
 from . import instances, oracle
 from .general import general_transform
@@ -251,9 +252,17 @@ def cmd_transform(args) -> int:
                     f"--root {args.root} is not a bag id (1..{td.num_bags})"
                 )
             root = args.root - 1
-        seq = treewidth_transform(
-            g, td, ds, dt, gamma_upper, min_ds=min_ds, root=root, limit=limit
-        )
+        # the library warns through the warnings module, whose text names
+        # this file and line; the CLI prints one stable line instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                seq = treewidth_transform(
+                    g, td, ds, dt, gamma_upper, min_ds=min_ds, root=root, limit=limit
+                )
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
         tw = td.width
         bound = 4 * (g.n + 1) * (tw + 1)
         comments.append(f"k {seq.k} (Gamma {gamma_upper} + tw {tw} + 1)")

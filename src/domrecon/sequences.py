@@ -7,15 +7,14 @@ absent vertex or removes a present one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (
     CoverCounts,
     FormatError,
     Graph,
     content_lines,
-    greedy_removals,
     int_fields,
     is_dominating,
 )
@@ -30,6 +29,14 @@ class SequenceFormatError(FormatError):
 
 @dataclass(frozen=True)
 class Move:
+    """One token move: add or remove `vertex`.
+
+    Move.add, Move.remove and flipped hand out one shared instance per
+    (kind, vertex), made on first use, so a sequence of any length holds at
+    most two Move objects per vertex and building a move runs no dataclass
+    __init__. Calling Move(kind, vertex) directly still makes a new one.
+    """
+
     kind: str
     vertex: int
 
@@ -37,20 +44,31 @@ class Move:
         if self.kind not in (ADD, REMOVE):
             raise ValueError(f"move kind must be {ADD!r} or {REMOVE!r}")
 
-    @classmethod
-    def add(cls, v: int) -> "Move":
-        return cls(ADD, v)
+    @staticmethod
+    def add(v: int) -> "Move":
+        try:
+            return _ADDS[v]
+        except KeyError:
+            return _ADDS.setdefault(v, Move(ADD, v))
 
-    @classmethod
-    def remove(cls, v: int) -> "Move":
-        return cls(REMOVE, v)
+    @staticmethod
+    def remove(v: int) -> "Move":
+        try:
+            return _REMOVES[v]
+        except KeyError:
+            return _REMOVES.setdefault(v, Move(REMOVE, v))
 
     def flipped(self) -> "Move":
-        return Move(REMOVE if self.kind == ADD else ADD, self.vertex)
+        return Move.remove(self.vertex) if self.kind == ADD else Move.add(self.vertex)
 
     def __repr__(self) -> str:
         sign = "+" if self.kind == ADD else "-"
         return f"{sign}{self.vertex}"
+
+
+# the shared instances of Move.add and Move.remove, by vertex
+_ADDS: dict[int, Move] = {}
+_REMOVES: dict[int, Move] = {}
 
 
 def _check_move(s, move: Move) -> None:
@@ -73,14 +91,28 @@ class ReconfigSequence:
     moves: tuple[Move, ...]
     k: int
 
+    @classmethod
+    def tracked(cls, start, moves, k: int, end) -> "ReconfigSequence":
+        """A sequence whose end the caller has already followed move by move
+        on a state of its own that rejects the same bad moves (a CoverCounts,
+        or the sequence this one reverses or extends); `end` is stored as the
+        replayed end, so reading it costs nothing."""
+        seq = cls(start, moves, k)
+        seq.__dict__["end"] = frozenset(end)  # the cached_property's slot
+        return seq
+
     def __len__(self) -> int:
         return len(self.moves)
 
-    @property
+    @cached_property
     def end(self) -> frozenset[int]:
-        """The set after the last move, replayed on one mutable set: O(moves).
+        """The set after the last move.
 
-        Raises apply_move's ValueError at the first malformed move.
+        Replayed on one mutable set, O(moves), at most once per sequence:
+        the result is cached, and `+`, reverse_sequence and
+        ReconfigSequence.tracked hand a known end on without a replay. A
+        malformed move raises apply_move's ValueError, and nothing is
+        cached, so every access raises it again.
         """
         s = set(self.start)
         for mv in self.moves:
@@ -104,14 +136,17 @@ class ReconfigSequence:
             raise ValueError(f"cannot concatenate sequences with k={self.k} and k={other.k}")
         if self.end != other.start:
             raise ValueError("cannot concatenate: end of first differs from start of second")
-        return ReconfigSequence(self.start, self.moves + other.moves, self.k)
+        moves = self.moves + other.moves
+        known = other.__dict__.get("end")
+        if known is None:
+            return ReconfigSequence(self.start, moves, self.k)
+        # self ends where other starts, so the joined replay ends where other's does
+        return ReconfigSequence.tracked(self.start, moves, self.k, known)
 
 
 def add_then_remove(adds=(), removes=()) -> tuple[Move, ...]:
     """The walk every construction uses: all adds, then all removes, each ascending."""
-    return tuple(Move.add(v) for v in sorted(adds)) + tuple(
-        Move.remove(v) for v in sorted(removes)
-    )
+    return tuple(map(Move.add, sorted(adds))) + tuple(map(Move.remove, sorted(removes)))
 
 
 def sequence_from_vertices(start, adds=(), removes=(), k: int = 0) -> ReconfigSequence:
@@ -122,20 +157,34 @@ def sequence_from_vertices(start, adds=(), removes=(), k: int = 0) -> ReconfigSe
 def shrink_walk(g: Graph, s, size: int, prefer_outside) -> tuple[Move, ...]:
     """Remove moves taking a dominating set s down to `size` members.
 
-    Removes in greedy_removals order (outside prefer_outside first, then by
-    id), so every intermediate set dominates. A set already at or below
-    `size` gives no moves and costs no coverage pass. Raises ValueError when
-    the greedy order stops above `size`.
+    shrink_in_place on a fresh CoverCounts of s: O(sum of deg v over s) to
+    build the counts, then the one greedy pass. A set already at or below
+    `size` gives no moves and builds no counts.
     """
-    need = max(len(s) - size, 0)
-    removals = tuple(itertools.islice(greedy_removals(g, s, prefer_outside), need))
+    if len(s) <= size:
+        return ()
+    return shrink_in_place(CoverCounts(g, s), size, prefer_outside)
+
+
+def shrink_in_place(state: CoverCounts, size: int, prefer_outside) -> tuple[Move, ...]:
+    """Remove members of a dominating state, in place, down to `size`.
+
+    Removes in greedy order (CoverCounts.shrink: outside prefer_outside
+    first, then by id), so every intermediate set dominates; one pass over
+    the sorted members, O(deg v) per member looked at. Returns the remove
+    moves. Raises ValueError when the greedy order stops above `size`.
+    """
+    need = len(state) - size
+    if need <= 0:
+        return ()
+    removals = state.shrink(prefer_outside, need)
     if len(removals) < need:
         raise ValueError(
             f"cannot shrink to {size}: greedy minimalization stops at"
-            f" size {len(s) - len(removals)}; is gamma_upper the true upper"
+            f" size {len(state)}; is gamma_upper the true upper"
             " domination number?"
         )
-    return tuple(Move.remove(v) for v in removals)
+    return tuple(map(Move.remove, removals))
 
 
 def check_endpoints(g: Graph, ds, dt, k: int):
@@ -151,9 +200,13 @@ def check_endpoints(g: Graph, ds, dt, k: int):
 
 
 def reverse_sequence(seq: ReconfigSequence) -> ReconfigSequence:
-    """Walk the sequence backwards: start at its end, flip each move."""
-    return ReconfigSequence(
-        seq.end, tuple(mv.flipped() for mv in reversed(seq.moves)), seq.k
+    """Walk the sequence backwards: start at its end, flip each move.
+
+    Replays seq only if its end is not known yet; the reversed walk ends at
+    seq.start, which it carries as its known end.
+    """
+    return ReconfigSequence.tracked(
+        seq.end, tuple(mv.flipped() for mv in reversed(seq.moves)), seq.k, seq.start
     )
 
 
@@ -198,64 +251,82 @@ def verify_sequence(
     violation is recorded; replay continues past domination or size
     violations but must stop at a malformed move: one that adds a present
     vertex, removes an absent one or names a vertex outside 0..n-1 (a start
-    vertex outside that range is a bad move at step 0). The replay runs on one
-    CoverCounts, so it costs O(|start| + sum of deg v over the moved
-    vertices v) plus one frozenset for the end.
+    vertex outside that range is a bad move at step 0). The replay holds
+    CoverCounts' state in local variables (the members, a dominator count
+    per vertex, the number of undominated vertices) and updates it inline,
+    one loop pass per move, so it costs O(|start| + sum of deg v over the
+    moved vertices v) plus one frozenset for the end.
     """
     budget = seq.k if k is None else k
-    try:
-        state = CoverCounts(g, seq.start)
-    except IndexError:
+    n = g.n
+    adj = g._adj
+    counts = [0] * n
+    undominated = n
+
+    def report(bad_index, bad_reason, max_size, end) -> VerificationReport:
+        if expected_end is None or end is None:
+            end_matches = None
+        else:
+            end_matches = end == frozenset(expected_end)
         return VerificationReport(
-            valid=False,
-            violation_index=0,
-            violation_reason=BAD_MOVE,
+            valid=bad_index is None,
+            violation_index=bad_index,
+            violation_reason=bad_reason,
             length=len(seq.moves),
-            max_size=len(seq.start),
-            end=None,
-            end_matches=None,
+            max_size=max_size,
+            end=end,
+            end_matches=end_matches,
             k=budget,
         )
+
+    for v in seq.start:
+        if not 0 <= v < n:
+            return report(0, BAD_MOVE, len(seq.start), None)
+        for w in (v, *adj[v]):
+            if not counts[w]:
+                undominated -= 1
+            counts[w] += 1
+    members = set(seq.start)
+    size = max_size = len(members)
     bad_index: int | None = None
     bad_reason: str | None = None
-    max_size = 0
-
-    def inspect(index: int):
-        nonlocal bad_index, bad_reason, max_size
-        size = len(state)
-        max_size = max(max_size, size)
+    if size > budget:
+        bad_index, bad_reason = 0, SIZE_EXCEEDS_K
+    elif undominated:
+        bad_index, bad_reason = 0, NOT_DOMINATING
+    for i, mv in enumerate(seq.moves, start=1):
+        v = mv.vertex
+        if mv.kind == ADD:
+            if v in members or not 0 <= v < n:
+                break
+            members.add(v)
+            for w in (v, *adj[v]):
+                if not counts[w]:
+                    undominated -= 1
+                counts[w] += 1
+            size += 1
+            if size > max_size:
+                max_size = size
+        else:
+            if v not in members:
+                break
+            members.remove(v)
+            for w in (v, *adj[v]):
+                counts[w] -= 1
+                if not counts[w]:
+                    undominated += 1
+            size -= 1
         if bad_index is None:
             if size > budget:
-                bad_index, bad_reason = index, SIZE_EXCEEDS_K
-            elif not state.dominating:
-                bad_index, bad_reason = index, NOT_DOMINATING
-
-    inspect(0)
-    end: frozenset[int] | None = None
-    for i, mv in enumerate(seq.moves, start=1):
-        try:
-            if mv.kind == ADD:
-                state.add(mv.vertex)
-            else:
-                state.remove(mv.vertex)
-        except (ValueError, IndexError):
-            if bad_index is None:
-                bad_index, bad_reason = i, BAD_MOVE
-            break
-        inspect(i)
+                bad_index, bad_reason = i, SIZE_EXCEEDS_K
+            elif undominated:
+                bad_index, bad_reason = i, NOT_DOMINATING
     else:
-        end = frozenset(state.members)
-    end_matches = None if expected_end is None or end is None else end == frozenset(expected_end)
-    return VerificationReport(
-        valid=bad_index is None,
-        violation_index=bad_index,
-        violation_reason=bad_reason,
-        length=len(seq.moves),
-        max_size=max_size,
-        end=end,
-        end_matches=end_matches,
-        k=budget,
-    )
+        return report(bad_index, bad_reason, max_size, frozenset(members))
+    # a malformed move at step i ends the replay
+    if bad_index is None:
+        bad_index, bad_reason = i, BAD_MOVE
+    return report(bad_index, bad_reason, max_size, None)
 
 
 def parse_sequence(text: str) -> ReconfigSequence:

@@ -28,12 +28,13 @@ from .graphs import (
 )
 from .minor_sparse import pad_to_size
 from .sequences import (
+    ADD,
     Move,
     ReconfigSequence,
     add_then_remove,
     check_endpoints,
     reverse_sequence,
-    shrink_walk,
+    shrink_in_place,
 )
 
 
@@ -329,7 +330,8 @@ def tw_step(
     checked every other member and added only target vertices or vertices
     whose top bag lies above j - 1, so the entry check looks for retired
     vertices only among retiring[j - 1]. A step costs O(moved vertices'
-    degrees) plus a few n-bit mask operations.
+    degrees) plus a few n-bit mask operations, and when it has to shrink,
+    one sort of the members and O(deg v) per member shrink_in_place looks at.
     """
     if not 0 <= j < ntd.num_bags - 1:
         raise ValueError(f"tw_step applies to bags 0..{ntd.num_bags - 2}, got {j}")
@@ -368,9 +370,7 @@ def tw_step(
             f"swap at bag {j} broke domination; the decomposition or the"
             " target set is inconsistent"
         )
-    shrink = shrink_walk(g, state.members, gamma_upper, target)
-    for mv in shrink:
-        state.remove(mv.vertex)
+    shrink = shrink_in_place(state, gamma_upper, target)
     moves = add_then_remove(additions, a_out) + shrink
     if len(moves) > 2 * (tw + 1):
         raise SweepError(
@@ -479,12 +479,17 @@ def treewidth_transform(
         moves: list[Move] = []
         for j in range(ntd.num_bags - 1):
             moves.extend(tw_step(g, ntd, j, state, target, gamma_upper, target_mask))
-        moves.extend(final_merge(g, ntd, state.members, target, gamma_upper))
+        merge = final_merge(g, ntd, state.members, target, gamma_upper)
+        for mv in merge:
+            (state.add if mv.kind == ADD else state.remove)(mv.vertex)
+        moves.extend(merge)
         if len(moves) > 2 * g.n * (tw + 1):
             raise SweepError(
                 f"sweep used {len(moves)} moves, above the 2 n (tw + 1) bound"
             )
-        return head + ReconfigSequence(head.end, tuple(moves), k)
+        # state has made every move, rejecting bad ones as a replay would
+        body = ReconfigSequence.tracked(head.end, tuple(moves), k, state.members)
+        return head + body
 
     forward = sweep(ds)
     backward = sweep(dt)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from domrecon import Graph
-from domrecon.graphs import GraphInvariants, LimitError
+from domrecon.graphs import GraphInvariants, LimitError, coverage
 from domrecon.sequences import (
     BAD_MOVE,
     NOT_DOMINATING,
@@ -122,6 +122,23 @@ def naive_reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
                 break
         else:
             return frozenset(current), removals
+
+
+def naive_greedy_removals(g: Graph, s, prefer_outside) -> list[int]:
+    """greedy_removals as a coverage loop: after every removal recompute the
+    coverage and drop the first member, outside prefer_outside first, then
+    by id, whose private set is empty; nothing when s does not dominate."""
+    nb = g.nb_mask
+    current = sorted(s, key=lambda v: (v in prefer_outside, v))
+    removals: list[int] = []
+    while True:
+        once, twice = coverage(g, current)
+        if once != g.full_mask:
+            return removals
+        i = next((i for i, v in enumerate(current) if not nb[v] & ~twice), None)
+        if i is None:
+            return removals
+        removals.append(current.pop(i))
 
 
 def naive_pop_removable(g: Graph, current: set[int], prefer_outside) -> int:

@@ -347,6 +347,41 @@ class TestTransform:
         assert code == 1
         assert "min_ds has size 2 but gamma = 1" in err
 
+    def test_treewidth_trusted_min_ds_warns_in_one_line(self, capsys, p3, p3_td, tmp_path):
+        setfile = tmp_path / "minds.txt"
+        setfile.write_text("2\n")
+        code, out, err = run(
+            capsys, "transform", p3, "--from", "1,3", "--to", "2",
+            "--method", "treewidth", "--td", p3_td, "--gamma-upper", "2",
+            "--min-ds", str(setfile), "--limit", "2",
+        )
+        assert code == 0
+        assert out.endswith("s tar 4 3\nd 1 3\n+ 2\n- 1\n- 3\n")
+        warning = (
+            "warning: n = 3 exceeds the brute-force limit;"
+            " trusting that min_ds is minimum\n"
+        )
+        assert err == warning
+        # the warning is printed also when the transform then fails
+        code, _, err = run(
+            capsys, "transform", p3, "--from", "1,3", "--to", "2",
+            "--method", "treewidth", "--td", p3_td, "--gamma-upper", "1",
+            "--min-ds", str(setfile), "--limit", "2",
+        )
+        assert code == 1
+        assert err.startswith(warning + "error: cannot shrink to 1")
+
+    def test_treewidth_understated_gamma_upper(self, capsys, p3, p3_td):
+        code, out, err = run(
+            capsys, "transform", p3, "--from", "1,3", "--to", "2",
+            "--method", "treewidth", "--td", p3_td, "--gamma-upper", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: cannot shrink to 1: greedy minimalization stops at size 2;"
+            " is gamma_upper the true upper domination number?\n"
+        )
+
     def test_treewidth_rejects_bad_root(self, capsys, p3, p3_td):
         code, _, err = run(
             capsys, "transform", p3, "--from", "1,3", "--to", "2",

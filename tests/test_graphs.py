@@ -31,7 +31,7 @@ from domrecon.graphs import (
 )
 from domrecon.instances import gen_mynhardt, gen_mynhardt_td, gen_star
 from domrecon.oracle import build_reconfig_graph
-from domrecon.sequences import Move, shrink_walk
+from domrecon.sequences import Move, shrink_in_place, shrink_walk
 from domrecon.treewidth import treewidth_transform
 
 
@@ -196,8 +196,17 @@ class TestDomination:
     def test_shrink_walk_exhausted(self):
         g = path(4)
         assert list(greedy_removals(g, {1, 3}, prefer_outside=set())) == []
-        with pytest.raises(ValueError, match="cannot shrink to 1"):
+        text = (
+            "^cannot shrink to 1: greedy minimalization stops at size 2; is"
+            " gamma_upper the true upper domination number\\?$"
+        )
+        with pytest.raises(ValueError, match=text):
             shrink_walk(g, {1, 3}, 1, set())
+        # the in-place path stops at the same size with the same text
+        state = CoverCounts(g, {0, 1, 3})
+        with pytest.raises(ValueError, match=text):
+            shrink_in_place(state, 1, set())
+        assert state.members == {1, 3}
 
 
 class TestCoverage:
@@ -281,6 +290,43 @@ class TestCoverCounts:
                 state.add(v)
             else:
                 state.remove(v)
+            assert_recounted(g, state)
+
+
+class TestGreedyShrink:
+    """The one counts pass gives the coverage loop's greedy order."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_coverage_loop(self, data):
+        g = data.draw(graphs_up_to_10())
+        vertices = st.sets(st.integers(0, g.n - 1))
+        s = data.draw(vertices)
+        if data.draw(st.booleans()):
+            # make s dominate by adding the vertices it misses
+            s |= {w for w in range(g.n) if not g.nb_mask[w] & mask_of(s)}
+        prefer = data.draw(vertices)
+        detour = data.draw(vertices)
+        want = helpers.naive_greedy_removals(g, s, prefer)
+        if not is_dominating(g, s):
+            assert want == []
+        assert greedy_removals(g, s, prefer) == want
+        for size in range(len(s) + 1):
+            need = len(s) - size
+            # tw_step's path: counts carried in place through other moves
+            state = CoverCounts(g, s | detour)
+            for v in detour - s:
+                state.remove(v)
+            if need > len(want):
+                with pytest.raises(ValueError, match=f"cannot shrink to {size}: "):
+                    shrink_in_place(state, size, prefer)
+                with pytest.raises(ValueError, match=f"cannot shrink to {size}: "):
+                    shrink_walk(g, s, size, prefer)
+                continue
+            moves = tuple(Move.remove(v) for v in want[:need])
+            assert shrink_in_place(state, size, prefer) == moves
+            assert shrink_walk(g, s, size, prefer) == moves
+            assert state.members == s.difference(want[:need])
             assert_recounted(g, state)
 
 

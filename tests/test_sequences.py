@@ -41,6 +41,32 @@ class TestMoves:
         assert Move.add(3).flipped() == Move.remove(3)
         assert Move.remove(3).flipped() == Move.add(3)
 
+    def test_shared_instances(self):
+        # one Move per (kind, vertex), equal and hashing like a fresh one
+        assert Move.add(2) is Move.add(2)
+        assert Move.remove(2) is Move.remove(2)
+        assert Move.add(2).flipped() is Move.remove(2)
+        assert Move.remove(2).flipped() is Move.add(2)
+        fresh = Move("add", 2)
+        assert fresh is not Move.add(2)
+        assert fresh == Move.add(2) and hash(fresh) == hash(Move.add(2))
+        assert Move.add(2) != Move.remove(2) and Move.add(2) != Move.add(3)
+        assert len({Move.add(2), fresh, Move.remove(2)}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Move.add(2).vertex = 5
+
+    def test_parsed_moves_are_shared(self):
+        n = 40
+        lines = ["s tar 40 10000", "d " + " ".join(str(v) for v in range(1, n + 1))]
+        for i in range(5000):
+            v = i * 7 % n + 1
+            lines += [f"- {v}", f"+ {v}"]
+        seq = parse_sequence("\n".join(lines) + "\n")
+        assert len(seq.moves) == 10_000
+        assert len({id(mv) for mv in seq.moves}) <= 2 * n
+        assert seq.end == frozenset(range(n))
+        assert parse_sequence(format_sequence(seq)) == seq
+
     def test_apply(self):
         assert apply_move(frozenset({1}), Move.add(0)) == {0, 1}
         assert apply_move(frozenset({0, 1}), Move.remove(0)) == {1}
@@ -89,6 +115,42 @@ class TestSequenceAlgebra:
         with pytest.raises(ValueError, match="end of first differs"):
             a + ReconfigSequence(frozenset({1}), (), 3)
 
+    def test_malformed_end_raises_on_every_access(self):
+        seq = ReconfigSequence(frozenset({0}), (Move.remove(1),), 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^cannot remove 1: not present$"):
+                seq.end
+        with pytest.raises(ValueError, match="not present"):
+            seq + ReconfigSequence(frozenset({0}), (), 3)
+        with pytest.raises(ValueError, match="not present"):
+            reverse_sequence(seq)
+
+    def test_end_is_replayed_once(self, monkeypatch):
+        replayed = []
+        real = sequences._check_move
+
+        def counting(s, move):
+            replayed.append(move)
+            return real(s, move)
+
+        monkeypatch.setattr(sequences, "_check_move", counting)
+        a = ReconfigSequence(frozenset({0, 2}), (Move.add(1), Move.remove(0)), 3)
+        assert a.end == {1, 2} and a.end == {1, 2}
+        assert len(replayed) == 2
+        # reversing and joining hand the known ends on
+        rev = reverse_sequence(a)
+        assert a + rev == ReconfigSequence(a.start, a.moves + rev.moves, 3)
+        assert (a + rev).end == a.start and rev.end == a.start
+        assert len(replayed) == 2
+        tracked = ReconfigSequence.tracked(frozenset({1, 2}), (Move.remove(2),), 3, {1})
+        assert (a + tracked).end == {1} and len(replayed) == 2
+        assert tracked == ReconfigSequence(frozenset({1, 2}), (Move.remove(2),), 3)
+        # an end not known yet is replayed by whoever asks first
+        b = ReconfigSequence(frozenset({1, 2}), (Move.add(0),), 3)
+        joined = a + b
+        assert len(replayed) == 2
+        assert joined.end == {0, 1, 2} and len(replayed) == 5
+
     def test_reverse(self):
         seq = ReconfigSequence(frozenset({0, 2}), (Move.add(1), Move.remove(0)), 3)
         rev = reverse_sequence(seq)
@@ -125,28 +187,30 @@ class TestWalkHelpers:
             check_endpoints(g, {1}, {-2}, 2)
 
     def test_shrink_walk_is_lazy(self, monkeypatch):
-        # the sweep shrinks at every bag; a set that already fits must cost
-        # no coverage pass, and a shrink by one costs exactly one
-        calls = []
+        # the sweep shrinks at every bag; a set that already fits must build
+        # no cover counts, and a shrink of any depth builds them once and
+        # never recomputes the coverage
+        built = []
 
-        def counting(g, s):
-            calls.append(len(s))
-            return real(g, s)
+        class Counting(sequences.CoverCounts):
+            def __init__(self, g, s=()):
+                built.append(len(s))
+                super().__init__(g, s)
 
-        real = graphs.coverage
-        monkeypatch.setattr(graphs, "coverage", counting)
+        def no_coverage(g, s):
+            raise AssertionError("coverage recomputed")
+
+        monkeypatch.setattr(sequences, "CoverCounts", Counting)
+        monkeypatch.setattr(graphs, "coverage", no_coverage)
         g = path(6)
         s = {0, 1, 2, 3, 4}
         assert shrink_walk(g, s, 5, s) == ()
         assert shrink_walk(g, s, 9, ()) == ()
-        removals = graphs.greedy_removals(g, s, ())
-        assert calls == []
+        assert built == []
         assert shrink_walk(g, s, 4, ()) == (Move.remove(0),)
-        assert calls == [5]
-        assert next(removals) == 0
-        assert calls == [5, 5]
+        assert built == [5]
         assert shrink_walk(g, s, 3, ()) == (Move.remove(0), Move.remove(2))
-        assert calls == [5, 5, 5, 4]
+        assert built == [5, 5]
 
     def test_every_transform_checks_its_endpoints(self, monkeypatch):
         class Checked(Exception):

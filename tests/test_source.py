@@ -39,6 +39,23 @@ def test_move_add_only_in_sequences():
     assert found == []
 
 
+def test_moves_built_only_in_sequences():
+    # Move.add, Move.remove and Move.flipped hand out shared instances; a
+    # Move(...) call elsewhere would bypass them
+    sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
+    assert any(path.name == "sequences.py" for path in sources)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        if path.name != "sequences.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Move"
+    ]
+    assert found == []
+
+
 def test_no_combinations_in_src():
     # no module loops over itertools.combinations: dominating_subsets walks
     # only the vertex prefixes that can still be completed to a dominating
