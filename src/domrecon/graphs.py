@@ -254,7 +254,7 @@ class CoverCounts:
     outside 0..n-1 raises IndexError, also unchanged. Use it where one
     set changes a vertex at a time and is asked after each change whether
     it still dominates; is_dominating and coverage stay the one-shot
-    answers.
+    answers. Transforms carry one through sequences.play and shrink_in_place.
     """
 
     __slots__ = ("g", "members", "mask", "counts", "undominated")
@@ -358,28 +358,15 @@ def is_minimal_dominating(g: Graph, s) -> bool:
 def reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
     """Greedy minimalization of a dominating set.
 
-    Removes members in greedy_removals order until every member has a
+    One CoverCounts.shrink pass, lowest id first, until every member has a
     private vertex (see coverage). Returns the minimal subset and the
     removal order. Every prefix of the removal order passes through
     dominating sets only.
     """
     if not is_dominating(g, s):
         raise ValueError("input set is not dominating")
-    removals = greedy_removals(g, s, ())
+    removals = CoverCounts(g, s).shrink((), len(s))
     return frozenset(s).difference(removals), removals
-
-
-def greedy_removals(g: Graph, s, prefer_outside) -> list[int]:
-    """The members of a dominating set s in greedy removal order.
-
-    Each step drops the first member whose private set (see coverage) is
-    empty, members outside prefer_outside before those inside, lowest id
-    breaking ties. Every prefix of the order leaves a dominating set; the
-    order ends when no member can go, and is empty when s does not
-    dominate. One CoverCounts.shrink pass: O(sum of deg v over s) plus one
-    sort, with no coverage recomputed after a removal.
-    """
-    return CoverCounts(g, s).shrink(prefer_outside, len(s))
 
 
 def dominating_subsets(g: Graph, max_size: int):

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .graphs import (
+    CoverCounts,
     Graph,
     coverage,
     exact_invariants,
@@ -24,8 +26,9 @@ from .sequences import (
     ReconfigSequence,
     add_then_remove,
     check_endpoints,
+    play,
     reverse_sequence,
-    shrink_walk,
+    shrink_in_place,
 )
 from .general import general_transform
 
@@ -180,9 +183,9 @@ def verify_density_witness(g: Graph, A, B, witness: DensityWitness) -> bool:
 def pad_to_size(g: Graph, D, target: int, k: int) -> ReconfigSequence:
     """Grow or shrink a dominating set to an exact size, keeping domination.
 
-    Growing adds the lowest-id absent vertices; shrinking replays the
-    greedy minimalization order and stops at the target. Errors when the
-    budget k or the graph cannot accommodate the target.
+    Growing adds the lowest-id absent vertices; only shrinking builds a
+    CoverCounts of D, for shrink_in_place. Errors when the budget k or the
+    graph cannot accommodate the target.
     """
     D = frozenset(D)
     if not is_dominating(g, D):
@@ -191,10 +194,10 @@ def pad_to_size(g: Graph, D, target: int, k: int) -> ReconfigSequence:
         raise ValueError(f"target size {target} is not in 1..{g.n}")
     if max(len(D), target) > k:
         raise ValueError(f"target {target} or |D| = {len(D)} exceeds k = {k}")
-    if len(D) < target:
-        absent = [v for v in range(g.n) if v not in D]
-        return ReconfigSequence(D, add_then_remove(absent[: target - len(D)]), k)
-    return ReconfigSequence(D, shrink_walk(g, D, target, ()), k)
+    if len(D) <= target:
+        absent = (v for v in range(g.n) if v not in D)
+        return ReconfigSequence(D, add_then_remove(islice(absent, target - len(D))), k)
+    return ReconfigSequence(D, shrink_in_place(CoverCounts(g, D), target, ()), k)
 
 
 def suggested_density(
@@ -221,13 +224,13 @@ def minor_sparse_transform(
 ) -> ReconfigSequence:
     """Dominating-set reconfiguration with budget Gamma + d - 1.
 
-    Pads both endpoints to size exactly Gamma, then repeatedly applies
-    find_swap toward the target until the difference drops below d; the
-    remainder is a plain add-then-remove walk. Length is bounded by
-    2*Gamma*(d-1) + 2*(Gamma-1). When d exceeds Gamma the general
-    transform already fits the budget and is used as-is, with its own
-    length bound 10 n (this needs exact invariants, so it needs
-    g.n <= limit).
+    Pads both endpoints to size exactly Gamma, then plays find_swap's swaps
+    toward the target on one CoverCounts, each followed by shrink_in_place,
+    until the difference drops below d; the remainder is a plain
+    add-then-remove walk. Length is bounded by 2*Gamma*(d-1) +
+    2*(Gamma-1). When d exceeds Gamma the general transform already fits
+    the budget and is used as-is, with its own length bound 10 n (this
+    needs exact invariants, so it needs g.n <= limit).
 
     Raises:
         NotMinorSparseError: find_swap certified a dense bipartite minor,
@@ -247,25 +250,24 @@ def minor_sparse_transform(
 
     head = pad_to_size(g, ds, gamma_upper, k)
     tail = pad_to_size(g, dt, gamma_upper, k)
-    current = head.end
+    state = CoverCounts(g, head.end)
     target = tail.end
     moves: list[Move] = []
-    pending = len(target - current)
+    pending = len(target - state.members)
     while pending >= d:
-        found = find_swap(g, current, target, d)
+        found = find_swap(g, state.members, target, d)
         if isinstance(found, DensityWitness):
-            raise NotMinorSparseError(d, found, current, target)
-        current = (current | found.s) - {found.a}
-        shrink = shrink_walk(g, current, gamma_upper, target)
-        moves.extend(add_then_remove(found.s, (found.a,)) + shrink)
-        current = current.difference(mv.vertex for mv in shrink)
-        now = len(target - current)
+            raise NotMinorSparseError(d, found, state.members, target)
+        moves += play(state, add_then_remove(found.s, (found.a,)))
+        moves += shrink_in_place(state, gamma_upper, target)
+        now = len(target - state.members)
         if now > pending - 1:
             raise RuntimeError(
                 "swap made no progress; is gamma_upper the true upper"
                 " domination number?"
             )
         pending = now
-    moves.extend(add_then_remove(target - current, current - target))
-    middle = ReconfigSequence(head.end, tuple(moves), k)
+    members = state.members
+    moves += play(state, add_then_remove(target - members, members - target))
+    middle = ReconfigSequence.tracked(head.end, tuple(moves), k, state.members)
     return head + middle + reverse_sequence(tail)

@@ -154,16 +154,16 @@ def sequence_from_vertices(start, adds=(), removes=(), k: int = 0) -> ReconfigSe
     return ReconfigSequence(frozenset(start), add_then_remove(adds, removes), k)
 
 
-def shrink_walk(g: Graph, s, size: int, prefer_outside) -> tuple[Move, ...]:
-    """Remove moves taking a dominating set s down to `size` members.
+def play(state: CoverCounts, moves) -> tuple[Move, ...]:
+    """Make each move on a CoverCounts state, in order; return the moves.
 
-    shrink_in_place on a fresh CoverCounts of s: O(sum of deg v over s) to
-    build the counts, then the one greedy pass. A set already at or below
-    `size` gives no moves and builds no counts.
+    O(deg v) per move. A bad move raises CoverCounts' error and leaves the
+    state as the moves before it left it.
     """
-    if len(s) <= size:
-        return ()
-    return shrink_in_place(CoverCounts(g, s), size, prefer_outside)
+    moves = tuple(moves)
+    for mv in moves:
+        (state.add if mv.kind == ADD else state.remove)(mv.vertex)
+    return moves
 
 
 def shrink_in_place(state: CoverCounts, size: int, prefer_outside) -> tuple[Move, ...]:
@@ -172,7 +172,8 @@ def shrink_in_place(state: CoverCounts, size: int, prefer_outside) -> tuple[Move
     Removes in greedy order (CoverCounts.shrink: outside prefer_outside
     first, then by id), so every intermediate set dominates; one pass over
     the sorted members, O(deg v) per member looked at. Returns the remove
-    moves. Raises ValueError when the greedy order stops above `size`.
+    moves, none for a state already at or below `size`. Raises ValueError
+    when the greedy order stops above `size`.
     """
     need = len(state) - size
     if need <= 0:

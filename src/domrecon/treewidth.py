@@ -26,13 +26,12 @@ from .graphs import (
     mask_of,
     set_of,
 )
-from .minor_sparse import pad_to_size
 from .sequences import (
-    ADD,
     Move,
     ReconfigSequence,
     add_then_remove,
     check_endpoints,
+    play,
     reverse_sequence,
     shrink_in_place,
 )
@@ -319,7 +318,9 @@ def tw_step(
 
     Classifies bag j's vertices, pulls in the target's left vertices plus
     the right vertices not otherwise covered, drops the working set's own
-    left leftovers, then reduces back to size <= Gamma; returns the moves.
+    left leftovers (sequences.play), then reduces back to size <= Gamma
+    (shrink_in_place); returns the moves. A bag vertex v lies left of j iff
+    tops[v] == j (every bag of j's subtree has an index <= j <= tops[v]).
     Checks the sweep invariant on entry only (the next tw_step, or
     final_merge at the root, checks the set this step leaves), the peak
     size Gamma + tw + 1 and the move budget 2 (tw + 1); failures raise
@@ -339,16 +340,16 @@ def tw_step(
     retired = ntd.retiring[j - 1] if j else ()
     _check_property(g, ntd, j, state, target, gamma_upper, retired)
     left = ntd.left_masks[j]
-    bag = ntd.bags[j]
+    tops = ntd.tops
 
-    a_out = [v for v in bag if v in state and v not in target and left >> v & 1]
+    a_out = [v for v in ntd.retiring[j] if v in state and v not in target]
     # c_in: target vertices left of j still missing; b3: bag vertices right
     # of j, missing, and in the target or without a neighbour in c_in
     c_mask = target_mask & left & ~state.mask
     b3 = [
         v
-        for v in bag
-        if not left >> v & 1
+        for v in ntd.bags[j]
+        if tops[v] != j
         and v not in state
         and (v in target or not g.adj_mask[v] & c_mask)
     ]
@@ -361,17 +362,13 @@ def tw_step(
             f"peak size {peak} exceeds Gamma + tw + 1 ="
             f" {gamma_upper + tw + 1} at bag {j}; check Gamma"
         )
-    for v in additions:
-        state.add(v)
-    for v in a_out:
-        state.remove(v)
+    moves = play(state, add_then_remove(additions, a_out))
     if not state.dominating:
         raise SweepError(
             f"swap at bag {j} broke domination; the decomposition or the"
             " target set is inconsistent"
         )
-    shrink = shrink_in_place(state, gamma_upper, target)
-    moves = add_then_remove(additions, a_out) + shrink
+    moves += shrink_in_place(state, gamma_upper, target)
     if len(moves) > 2 * (tw + 1):
         raise SweepError(
             f"bag {j} needed {len(moves)} moves, above the 2 (tw + 1) budget"
@@ -427,9 +424,10 @@ def treewidth_transform(
 ) -> ReconfigSequence:
     """Dominating-set reconfiguration with budget Gamma + tw + 1.
 
-    Validates and normalizes the decomposition, reduces both endpoints to
-    size <= Gamma, sweeps each toward the minimum dominating set D bag by
-    bag, and splices the second sweep in reverse. Total length is at most
+    Validates and normalizes the decomposition, then sweeps each endpoint
+    on one CoverCounts: shrink_in_place reduces it to size <= Gamma, and
+    tw_step moves it bag by bag toward the minimum dominating set D. The
+    second sweep is spliced in reverse. Total length is at most
     4 (n + 1) (tw + 1).
 
     Args:
@@ -439,6 +437,8 @@ def treewidth_transform(
             otherwise trusted with a warning.
         root: bag index overriding the decomposition's root.
     """
+    if gamma_upper < 1:
+        raise ValueError("gamma_upper must be positive")
     ds, dt = frozenset(ds), frozenset(dt)
     report = validate_td(g, td)
     if not report.valid:
@@ -474,22 +474,18 @@ def treewidth_transform(
     target_mask = mask_of(target)
 
     def sweep(start) -> ReconfigSequence:
-        head = pad_to_size(g, start, min(len(start), gamma_upper), k)
-        state = CoverCounts(g, head.end)
+        state = CoverCounts(g, start)
+        reduce = shrink_in_place(state, gamma_upper, ())
         moves: list[Move] = []
         for j in range(ntd.num_bags - 1):
-            moves.extend(tw_step(g, ntd, j, state, target, gamma_upper, target_mask))
-        merge = final_merge(g, ntd, state.members, target, gamma_upper)
-        for mv in merge:
-            (state.add if mv.kind == ADD else state.remove)(mv.vertex)
-        moves.extend(merge)
+            moves += tw_step(g, ntd, j, state, target, gamma_upper, target_mask)
+        moves += play(state, final_merge(g, ntd, state.members, target, gamma_upper))
         if len(moves) > 2 * g.n * (tw + 1):
             raise SweepError(
                 f"sweep used {len(moves)} moves, above the 2 n (tw + 1) bound"
             )
         # state has made every move, rejecting bad ones as a replay would
-        body = ReconfigSequence.tracked(head.end, tuple(moves), k, state.members)
-        return head + body
+        return ReconfigSequence.tracked(start, reduce + tuple(moves), k, state.members)
 
     forward = sweep(ds)
     backward = sweep(dt)

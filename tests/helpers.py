@@ -125,9 +125,10 @@ def naive_reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
 
 
 def naive_greedy_removals(g: Graph, s, prefer_outside) -> list[int]:
-    """greedy_removals as a coverage loop: after every removal recompute the
-    coverage and drop the first member, outside prefer_outside first, then
-    by id, whose private set is empty; nothing when s does not dominate."""
+    """CoverCounts.shrink's greedy order as a coverage loop: after every
+    removal recompute the coverage and drop the first member, outside
+    prefer_outside first, then by id, whose private set is empty; nothing
+    when s does not dominate."""
     nb = g.nb_mask
     current = sorted(s, key=lambda v: (v in prefer_outside, v))
     removals: list[int] = []
@@ -240,6 +241,16 @@ def seeded_small_graphs(seed: int, max_n: int = 12) -> list[Graph]:
         for density in (0.15, 0.3, 0.5):
             graphs.append(Graph(n, [e for e in pairs if rng.random() < density]))
     return graphs
+
+
+def fill(s, size, order) -> frozenset[int]:
+    """s grown by the first vertices of `order` it misses, up to `size`."""
+    grown = set(s)
+    for v in order:
+        if len(grown) >= size:
+            break
+        grown.add(v)
+    return frozenset(grown)
 
 
 def all_minimal_dominating_sets(g: Graph) -> list[frozenset[int]]:

@@ -382,6 +382,16 @@ class TestTransform:
             " is gamma_upper the true upper domination number?\n"
         )
 
+    @pytest.mark.parametrize("gamma_upper", ["0", "-1"])
+    @pytest.mark.parametrize("method", ["treewidth", "minor-sparse"])
+    def test_nonpositive_gamma_upper(self, capsys, p3, p3_td, method, gamma_upper):
+        extra = ["--td", p3_td] if method == "treewidth" else ["--d", "2"]
+        code, out, err = run(
+            capsys, "transform", p3, "--from", "1,3", "--to", "2",
+            "--method", method, *extra, "--gamma-upper", gamma_upper,
+        )
+        assert (code, out, err) == (1, "", "error: gamma_upper must be positive\n")
+
     def test_treewidth_rejects_bad_root(self, capsys, p3, p3_td):
         code, _, err = run(
             capsys, "transform", p3, "--from", "1,3", "--to", "2",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -16,7 +17,7 @@ from domrecon.graphs import (
     is_minimal_dominating,
 )
 from domrecon.oracle import build_reconfig_graph, distance
-from domrecon.sequences import Move, verify_sequence
+from domrecon.sequences import Move, format_sequence, verify_sequence
 
 
 def path(n):
@@ -208,3 +209,29 @@ class TestGeneralTransform:
                     report = check(g, seq, ds, dt, k)
                     assert report.length < 10 * g.n
                     assert distance(rg, ds, dt) <= report.length
+
+
+class TestGoldenOutput:
+    """Pins the exact sequence files on helpers.seeded_small_graphs: the
+    witness endpoints, then the same sets grown to the budget so that both
+    reduce phases remove vertices."""
+
+    def test_seeded_small_graphs(self):
+        texts, moves = [], 0
+        for g in helpers.seeded_small_graphs(18, max_n=9):
+            inv = exact_invariants(g)
+            k = inv.gamma_upper + inv.alpha - 1
+            ds, dt = inv.witness_upper_ds, inv.witness_min_ds
+            vertices = range(g.n)
+            for a, b in (
+                (ds, dt),
+                (helpers.fill(ds, k, vertices), helpers.fill(dt, k, reversed(vertices))),
+            ):
+                seq = general_transform(g, a, b, inv)
+                texts.append(format_sequence(seq))
+                moves += len(seq)
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert (moves, digest) == (
+            233,
+            "878f8d1aa966d7327ef1a0581a8732809e929fd21bb7bf221f77938a00891a20",
+        )

@@ -19,7 +19,6 @@ from domrecon.graphs import (
     format_graph,
     format_vertex_list,
     greedy_maximal_is,
-    greedy_removals,
     is_connected,
     is_dominating,
     is_minimal_dominating,
@@ -31,12 +30,21 @@ from domrecon.graphs import (
 )
 from domrecon.instances import gen_mynhardt, gen_mynhardt_td, gen_star
 from domrecon.oracle import build_reconfig_graph
-from domrecon.sequences import Move, shrink_in_place, shrink_walk
+from domrecon.sequences import Move, shrink_in_place
 from domrecon.treewidth import treewidth_transform
 
 
 def path(n):
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def greedy_order(g, s, prefer_outside):
+    """The whole greedy removal order of s, from a fresh CoverCounts."""
+    return CoverCounts(g, s).shrink(prefer_outside, len(s))
+
+
+def shrink_fresh(g, s, size, prefer_outside):
+    return shrink_in_place(CoverCounts(g, s), size, prefer_outside)
 
 
 def cycle(n):
@@ -184,24 +192,24 @@ class TestDomination:
 
     def test_greedy_removals_prefers_outside(self):
         g = path(4)
-        assert list(greedy_removals(g, {0, 1, 3}, prefer_outside={0, 3})) == [1]
-        assert shrink_walk(g, {0, 1, 3}, 2, {0, 3}) == (Move.remove(1),)
+        assert greedy_order(g, {0, 1, 3}, prefer_outside={0, 3}) == [1]
+        assert shrink_fresh(g, {0, 1, 3}, 2, {0, 3}) == (Move.remove(1),)
 
     def test_greedy_removals_lowest_id_fallback(self):
         g = path(4)
         # everything in the preferred set: plain ascending order applies
-        assert list(greedy_removals(g, {0, 1, 3}, prefer_outside={0, 1, 3})) == [0]
-        assert shrink_walk(g, {0, 1, 3}, 2, {0, 1, 3}) == (Move.remove(0),)
+        assert greedy_order(g, {0, 1, 3}, prefer_outside={0, 1, 3}) == [0]
+        assert shrink_fresh(g, {0, 1, 3}, 2, {0, 1, 3}) == (Move.remove(0),)
 
-    def test_shrink_walk_exhausted(self):
+    def test_shrink_exhausted(self):
         g = path(4)
-        assert list(greedy_removals(g, {1, 3}, prefer_outside=set())) == []
+        assert greedy_order(g, {1, 3}, prefer_outside=set()) == []
         text = (
             "^cannot shrink to 1: greedy minimalization stops at size 2; is"
             " gamma_upper the true upper domination number\\?$"
         )
         with pytest.raises(ValueError, match=text):
-            shrink_walk(g, {1, 3}, 1, set())
+            shrink_fresh(g, {1, 3}, 1, set())
         # the in-place path stops at the same size with the same text
         state = CoverCounts(g, {0, 1, 3})
         with pytest.raises(ValueError, match=text):
@@ -310,7 +318,7 @@ class TestGreedyShrink:
         want = helpers.naive_greedy_removals(g, s, prefer)
         if not is_dominating(g, s):
             assert want == []
-        assert greedy_removals(g, s, prefer) == want
+        assert greedy_order(g, s, prefer) == want
         for size in range(len(s) + 1):
             need = len(s) - size
             # tw_step's path: counts carried in place through other moves
@@ -321,11 +329,11 @@ class TestGreedyShrink:
                 with pytest.raises(ValueError, match=f"cannot shrink to {size}: "):
                     shrink_in_place(state, size, prefer)
                 with pytest.raises(ValueError, match=f"cannot shrink to {size}: "):
-                    shrink_walk(g, s, size, prefer)
+                    shrink_fresh(g, s, size, prefer)
                 continue
             moves = tuple(Move.remove(v) for v in want[:need])
             assert shrink_in_place(state, size, prefer) == moves
-            assert shrink_walk(g, s, size, prefer) == moves
+            assert shrink_fresh(g, s, size, prefer) == moves
             assert state.members == s.difference(want[:need])
             assert_recounted(g, state)
 
@@ -350,7 +358,7 @@ class TestAgainstNaive:
                             except ValueError:
                                 break
                             want.append(v)
-                        assert list(greedy_removals(g, s, prefer)) == want
+                        assert greedy_order(g, s, prefer) == want
 
     def test_every_subset_on_five_vertices(self, atlas_connected):
         for g in atlas_connected[5]:

@@ -1,6 +1,11 @@
+import hashlib
+
 import pytest
 
-from domrecon.graphs import Graph, is_dominating
+import helpers
+from domrecon import graphs, minor_sparse
+from domrecon.graphs import Graph, greedy_maximal_is, is_dominating
+from domrecon.instances import gen_grid, gen_random_tree
 from domrecon.minor_sparse import (
     DensityEntry,
     DensityWitness,
@@ -12,7 +17,7 @@ from domrecon.minor_sparse import (
     suggested_density,
     verify_density_witness,
 )
-from domrecon.sequences import Move, verify_sequence
+from domrecon.sequences import Move, format_sequence, verify_sequence
 
 
 def path(n):
@@ -140,6 +145,33 @@ class TestPadToSize:
         ):
             assert verify_sequence(g, seq).valid
 
+    def test_builds_counts_only_to_shrink(self, monkeypatch):
+        # a set that already fits, or grows, builds no cover counts; a shrink
+        # of any depth builds them once and never recomputes the coverage
+        built = []
+
+        class Counting(minor_sparse.CoverCounts):
+            def __init__(self, g, s=()):
+                built.append(len(s))
+                super().__init__(g, s)
+
+        def no_coverage(g, s):
+            raise AssertionError("coverage recomputed")
+
+        monkeypatch.setattr(minor_sparse, "CoverCounts", Counting)
+        monkeypatch.setattr(graphs, "coverage", no_coverage)
+        g = path(6)
+        s = {0, 1, 2, 3, 4}
+        assert pad_to_size(g, s, 5, 5).moves == ()
+        assert pad_to_size(g, s, 6, 6).moves == (Move.add(5),)
+        assert built == []
+        assert pad_to_size(g, s, 4, 5).moves == (Move.remove(0),)
+        assert built == [5]
+        seq = pad_to_size(g, s, 3, 5)
+        assert seq.moves == (Move.remove(0), Move.remove(2))
+        assert seq.end == {1, 3, 4}
+        assert built == [5, 5]
+
     def test_input_validation(self):
         g = path(6)
         with pytest.raises(ValueError, match="must be dominating"):
@@ -235,8 +267,9 @@ class TestMinorSparseTransform:
         g = path(6)
         with pytest.raises(ValueError, match="at least 2"):
             minor_sparse_transform(g, {1, 4}, {1, 3, 5}, 1, 3)
-        with pytest.raises(ValueError, match="gamma_upper must be positive"):
-            minor_sparse_transform(g, {1, 4}, {1, 3, 5}, 2, 0)
+        for gamma_upper in (0, -1):
+            with pytest.raises(ValueError, match="^gamma_upper must be positive$"):
+                minor_sparse_transform(g, {1, 4}, {1, 3, 5}, 2, gamma_upper)
         with pytest.raises(ValueError, match="ds is not a dominating set"):
             minor_sparse_transform(g, {1}, {1, 3, 5}, 2, 3)
         with pytest.raises(ValueError, match="dt has size 5 > k = 4"):
@@ -252,3 +285,33 @@ class TestMinorSparseTransform:
         # claimed Gamma below the reachable minimum: padding cannot comply
         with pytest.raises(ValueError, match="cannot shrink"):
             minor_sparse_transform(g, {0, 2, 4}, {1, 3, 5}, 2, 2)
+
+
+class TestGoldenOutput:
+    """Pins the exact sequence files on a fixed corpus: the first 20 trees of
+    the acceptance corpus (d = 2) and five grids (d = 4), each between two
+    maximal independent sets, then between the same sets grown to the
+    budget so that the padding and the in-round shrinks remove vertices."""
+
+    def test_trees_and_grids(self):
+        trees = [gen_random_tree(2 + (i * 7) % 39, seed=1000 + i) for i in range(20)]
+        grids = [gen_grid(r, c) for r, c in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5))]
+        texts, moves = [], 0
+        for g, d in [(g, 2) for g in trees] + [(g, 4) for g in grids]:
+            gamma_upper = helpers.milp_gamma_upper(g)
+            k = gamma_upper + d - 1
+            ds = greedy_maximal_is(g)
+            dt = greedy_maximal_is(g, frozenset({g.n - 1}))
+            vertices = range(g.n)
+            for a, b in (
+                (ds, dt),
+                (helpers.fill(ds, k, vertices), helpers.fill(dt, k, reversed(vertices))),
+            ):
+                seq = minor_sparse_transform(g, a, b, d, gamma_upper)
+                texts.append(format_sequence(seq))
+                moves += len(seq)
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert (moves, digest) == (
+            367,
+            "ae239b7349f19ec2f8ed230060fbcd9f314dbe46f517dba105998ffc97c09931",
+        )

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from domrecon import general, graphs, minor_sparse, sequences, treewidth
+from domrecon import general, minor_sparse, sequences, treewidth
 from domrecon.graphs import Graph, exact_invariants
 from domrecon.sequences import (
     BAD_MOVE,
@@ -21,7 +21,6 @@ from domrecon.sequences import (
     parse_sequence,
     reverse_sequence,
     sequence_from_vertices,
-    shrink_walk,
     verify_sequence,
 )
 
@@ -185,32 +184,6 @@ class TestWalkHelpers:
         # range before domination: nb_mask[-2] is the middle vertex's mask
         with pytest.raises(ValueError, match=r"dt has a vertex outside 0\.\.2"):
             check_endpoints(g, {1}, {-2}, 2)
-
-    def test_shrink_walk_is_lazy(self, monkeypatch):
-        # the sweep shrinks at every bag; a set that already fits must build
-        # no cover counts, and a shrink of any depth builds them once and
-        # never recomputes the coverage
-        built = []
-
-        class Counting(sequences.CoverCounts):
-            def __init__(self, g, s=()):
-                built.append(len(s))
-                super().__init__(g, s)
-
-        def no_coverage(g, s):
-            raise AssertionError("coverage recomputed")
-
-        monkeypatch.setattr(sequences, "CoverCounts", Counting)
-        monkeypatch.setattr(graphs, "coverage", no_coverage)
-        g = path(6)
-        s = {0, 1, 2, 3, 4}
-        assert shrink_walk(g, s, 5, s) == ()
-        assert shrink_walk(g, s, 9, ()) == ()
-        assert built == []
-        assert shrink_walk(g, s, 4, ()) == (Move.remove(0),)
-        assert built == [5]
-        assert shrink_walk(g, s, 3, ()) == (Move.remove(0), Move.remove(2))
-        assert built == [5, 5]
 
     def test_every_transform_checks_its_endpoints(self, monkeypatch):
         class Checked(Exception):

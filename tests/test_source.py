@@ -161,3 +161,69 @@ def test_comment_rule_only_in_content_lines():
     for path in sources:
         visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
     assert found == {("graphs.py", "content_lines")}
+
+
+def owners(path, is_target):
+    """(file, enclosing function) of every node of path's source that
+    is_target accepts; "<module>" outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        if is_target(node):
+            found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_one_greedy_shrink_and_one_move_dispatch():
+    # every transform shrinks through sequences.shrink_in_place (general
+    # through graphs.reduce_to_minimal) and applies moves to a carried
+    # CoverCounts through sequences.play
+    sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+
+    def shrink_call(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "shrink"
+        )
+
+    def add_or_remove(node):
+        # state.add if mv.kind == ADD else state.remove
+        return (
+            isinstance(node, ast.IfExp)
+            and isinstance(node.body, ast.Attribute)
+            and isinstance(node.orelse, ast.Attribute)
+            and {node.body.attr, node.orelse.attr} == {"add", "remove"}
+        )
+
+    assert set().union(*(owners(path, shrink_call) for path in sources)) == {
+        ("graphs.py", "reduce_to_minimal"),
+        ("sequences.py", "shrink_in_place"),
+    }
+    assert set().union(*(owners(path, add_or_remove) for path in sources)) == {
+        ("sequences.py", "play"),
+    }
+
+
+def test_treewidth_does_not_import_minor_sparse():
+    # the sweep reduces its endpoints on its own counts, not through
+    # minor_sparse.pad_to_size
+    path = Path(domrecon.__file__).parent / "treewidth.py"
+
+    def imports_minor_sparse(node):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            return False
+        return any(name.rpartition(".")[2] == "minor_sparse" for name in names)
+
+    assert owners(path, imports_minor_sparse) == set()

@@ -7,11 +7,12 @@ from collections import Counter
 import pytest
 
 import helpers
-from domrecon import graphs, treewidth
+from domrecon import graphs, minor_sparse, sequences, treewidth
 from domrecon.graphs import (
     CoverCounts,
     Graph,
     LimitError,
+    exact_invariants,
     greedy_maximal_is,
     mask_of,
     set_of,
@@ -194,6 +195,10 @@ class TestCachedStructures:
         for j in range(ntd.num_bags):
             left, _ = helpers.naive_classify_left(ntd, j)
             assert set_of(ntd.left_masks[j]) == left
+            # tw_step reads a bag vertex's side from tops: the bag vertices
+            # left of j are exactly the ones retiring at j
+            on_left = {v for v in ntd.bags[j] if ntd.left_masks[j] >> v & 1}
+            assert on_left == set(ntd.retiring[j])
 
     @pytest.mark.parametrize("index", range(len(REFERENCE_CASES)))
     def test_against_naive(self, index):
@@ -343,6 +348,40 @@ class TestOneCheckPerBoundary:
                 monkeypatch, g, td, ds, dt, helpers.milp_gamma_upper(g), min_ds=min_ds
             )
         assert b > 20
+
+
+class TestOneStatePerSweep:
+    def test_reduce_and_bags_share_one_cover_counts(self, monkeypatch):
+        # each sweep builds one CoverCounts for its reduce phase and every
+        # bag; final_merge builds one more to check the invariant at the root
+        g = path(7)
+        gamma_upper = exact_invariants(g).gamma_upper
+        ds, dt = frozenset(range(6)), frozenset(range(1, 7))
+        assert min(len(ds), len(dt)) > gamma_upper  # both reduce phases shrink
+        built = Counter()
+        phase = "sweep"
+
+        class Counting(CoverCounts):
+            def __init__(self, g, s=()):
+                built[phase] += 1
+                super().__init__(g, s)
+
+        def merge(*args):
+            nonlocal phase
+            phase = "merge"
+            try:
+                return original_merge(*args)
+            finally:
+                phase = "sweep"
+
+        original_merge = treewidth.final_merge
+        for module in (graphs, sequences, minor_sparse, treewidth):
+            monkeypatch.setattr(module, "CoverCounts", Counting, raising=False)
+        monkeypatch.setattr(treewidth, "final_merge", merge)
+        seq = treewidth_transform(g, path_td(7), ds, dt, gamma_upper)
+        report = verify_sequence(g, seq, expected_end=dt)
+        assert report.valid and report.end_matches
+        assert built == {"sweep": 2, "merge": 2}
 
 
 def tree_case(n: int, seed: int):
@@ -581,6 +620,15 @@ class TestTransform:
             treewidth_transform(g, path_td(3), bad, {1}, gamma_upper=2)
         with pytest.raises(ValueError, match=r"min_ds has a vertex outside 0\.\.2"):
             treewidth_transform(g, path_td(3), {1}, {1}, gamma_upper=2, min_ds=bad)
+
+    @pytest.mark.parametrize("gamma_upper", [0, -1])
+    def test_rejects_nonpositive_gamma_first(self, gamma_upper):
+        g = path(3)
+        # refused before the decomposition, min_ds or endpoints are looked at
+        bad_td = TreeDecomposition(3, (frozenset({0, 1}),), ())
+        for td in (path_td(3), bad_td):
+            with pytest.raises(ValueError, match="^gamma_upper must be positive$"):
+                treewidth_transform(g, td, {0}, {1}, gamma_upper, min_ds={0})
 
     def test_gamma_too_small(self):
         g = path(6)
