@@ -29,6 +29,7 @@ import warnings
 from . import instances, oracle
 from .general import general_transform
 from .graphs import (
+    DEFAULT_INVARIANTS_LIMIT,
     LimitError,
     check_invariants_limit,
     content_lines,
@@ -152,8 +153,8 @@ def cmd_gen(args) -> int:
 
 def cmd_stats(args) -> int:
     text = _read(args.graph)
-    limit = _limit(args, 24)
-    # a header over the limit is refused before parse_graph builds n-bit masks
+    limit = _limit(args, DEFAULT_INVARIANTS_LIMIT)
+    # an over-limit header exits 3 before the rest of the file is read
     n = header_n(text)
     if n is not None:
         check_invariants_limit(n, limit)
@@ -192,7 +193,7 @@ def cmd_transform(args) -> int:
     dt = parse_vertex_list(args.to_set)
     _check_vertices(g, ds, "--from")
     _check_vertices(g, dt, "--to")
-    limit = _limit(args, 24)
+    limit = _limit(args, DEFAULT_INVARIANTS_LIMIT)
     comments = [f"transform --method {args.method}"]
     if not is_connected(g):
         comments.append("warning: input graph is disconnected")
@@ -313,8 +314,8 @@ def cmd_oracle(args) -> int:
         _reject_flags(given, {"--distance", "--frozen", "--diameter"}, "--k")
     text = _read(args.graph)
     limit = _limit(args, oracle.DEFAULT_VERTEX_LIMIT)
-    # a header over the limit is refused before parse_graph builds n-bit
-    # masks, by the oracle's own checks in their order (kmax > n first)
+    # an over-limit header exits 3 before the rest of the file is read, by
+    # the oracle's own checks in their order (kmax > n first)
     n = header_n(text)
     if n is not None and n > limit:
         if args.scan is not None:

@@ -8,13 +8,11 @@ missing vertices first and removing the surplus afterwards.
 from __future__ import annotations
 
 from .graphs import (
+    CoverCounts,
     Graph,
     GraphInvariants,
-    coverage,
     greedy_maximal_is,
-    is_dominating,
     is_minimal_dominating,
-    mask_of,
     reduce_to_minimal,
 )
 from .sequences import (
@@ -31,11 +29,9 @@ class UnreachableError(RuntimeError):
 
 
 def _is_maximal_independent(g: Graph, s) -> bool:
-    mask = mask_of(s)
-    for v in s:
-        if g.adj_mask[v] & mask:
-            return False
-    return is_dominating(g, s)
+    # independent: each member is dominated by itself alone
+    state = CoverCounts(g, s)
+    return state.dominating and all(state.counts[v] == 1 for v in s)
 
 
 def is_ds_to_is_path(g: Graph, d, s, k: int) -> ReconfigSequence:
@@ -84,13 +80,13 @@ def _find_swap_pair(g: Graph, d1, d2):
     """First (u, v) in ascending pair order with (d1 - {u}) | {v} dominating.
 
     Dropping u from the dominating set d1 uncovers exactly u's private set
-    (see coverage), so the swap is valid iff nb_mask[v] covers all of it.
+    (CoverCounts.private), so the swap is valid iff N[v] covers all of it.
     """
-    _, twice = coverage(g, d1)
+    state = CoverCounts(g, d1)
     for u in sorted(d1):
-        private = g.nb_mask[u] & ~twice
+        private = state.private(u)
         for v in sorted(d2):
-            if not private & ~g.nb_mask[v]:
+            if not private.difference(g._closed[v]):
                 return u, v
     return None
 
@@ -188,7 +184,7 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
 
 
 def _lowest_undominated(g: Graph, s) -> int:
-    missing = g.full_mask & ~coverage(g, s)[0]
-    if not missing:
+    state = CoverCounts(g, s)
+    if state.dominating:
         raise RuntimeError("swap candidate unexpectedly dominating")
-    return (missing & -missing).bit_length() - 1
+    return state.counts.index(0)

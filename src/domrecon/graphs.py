@@ -7,8 +7,13 @@ file format exist only inside parse_graph / format_graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from itertools import chain, repeat
 from operator import or_
+
+# the vertex limit of exact_invariants and of every brute-force step built
+# on it; the CLI's --limit and DOMRECON_LIMIT override it
+DEFAULT_INVARIANTS_LIMIT = 24
 
 
 class FormatError(ValueError):
@@ -33,7 +38,7 @@ class LimitError(RuntimeError):
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "adj_mask", "nb_mask", "full_mask")
+    __slots__ = ("n", "_adj", "_closed")
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -50,11 +55,9 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
-        # open and closed neighborhood bitmasks, the workhorses of every
-        # domination check below
-        self.adj_mask = tuple(sum(1 << w for w in s) for s in self._adj)
-        self.nb_mask = tuple(self.adj_mask[v] | (1 << v) for v in range(n))
-        self.full_mask = (1 << n) - 1
+        # closed neighbourhoods N[v] = (v, *N(v)), the rows every domination
+        # count below walks; with _adj, memory linear in n + m
+        self._closed = tuple((v, *s) for v, s in enumerate(self._adj))
 
     @property
     def m(self) -> int:
@@ -156,7 +159,7 @@ def header_n(text: str) -> int | None:
 
     None unless the first line that is not blank or a comment is a
     well-formed header; parse_graph then reports what is wrong. Lets a
-    caller refuse an n over its limit before parse_graph builds n-bit masks.
+    caller refuse an n over its limit before reading the rest of the file.
     """
     for lineno, fields in content_lines(text):
         if fields[0] != "p":
@@ -237,10 +240,7 @@ def format_vertex_list(s) -> str:
 
 def is_dominating(g: Graph, s) -> bool:
     """True iff every vertex is in s or adjacent to a vertex of s."""
-    cov = 0
-    for v in s:
-        cov |= g.nb_mask[v]
-    return cov == g.full_mask
+    return len(set(chain.from_iterable(map(g._closed.__getitem__, s)))) == g.n
 
 
 class CoverCounts:
@@ -248,13 +248,13 @@ class CoverCounts:
 
     counts[w] is the number of members in w's closed neighborhood, and
     undominated the number of vertices whose count is 0, so `dominating`
-    is O(1) and add(v) / remove(v) cost O(deg v). A bad move (adding a
+    is O(1), add(v) / remove(v) walk v's row of g._closed in O(deg v), and
+    private(v) reads what only member v dominates. A bad move (adding a
     member, removing a non-member) raises the same ValueError text as
     sequences.apply_move and leaves the state unchanged; adding a vertex
-    outside 0..n-1 raises IndexError, also unchanged. Use it where one
-    set changes a vertex at a time and is asked after each change whether
-    it still dominates; is_dominating and coverage stay the one-shot
-    answers. Transforms carry one through sequences.play and shrink_in_place.
+    outside 0..n-1 raises IndexError, also unchanged. It answers every
+    domination question but is_dominating's one-shot "does s dominate";
+    transforms carry one through sequences.play and shrink_in_place.
     """
 
     __slots__ = ("g", "members", "mask", "counts", "undominated")
@@ -284,7 +284,7 @@ class CoverCounts:
         if not 0 <= v < self.g.n:
             raise IndexError(f"vertex {v} out of range for n={self.g.n}")
         counts = self.counts
-        for w in (v, *self.g._adj[v]):
+        for w in self.g._closed[v]:
             if not counts[w]:
                 self.undominated -= 1
             counts[w] += 1
@@ -295,12 +295,19 @@ class CoverCounts:
         if v not in self.members:
             raise ValueError(f"cannot remove {v}: not present")
         counts = self.counts
-        for w in (v, *self.g._adj[v]):
+        for w in self.g._closed[v]:
             counts[w] -= 1
             if not counts[w]:
                 self.undominated += 1
         self.members.remove(v)
         self.mask ^= 1 << v
+
+    def private(self, v: int) -> frozenset[int]:
+        """The private set of member v: the vertices of its closed
+        neighbourhood that no other member dominates. A dominating set
+        stays dominating without v iff this is empty. O(deg v)."""
+        counts = self.counts
+        return frozenset(w for w in self.g._closed[v] if counts[w] == 1)
 
     def shrink(self, prefer_outside, most: int) -> list[int]:
         """Remove up to `most` members in greedy order; return them in order.
@@ -318,13 +325,13 @@ class CoverCounts:
         if self.undominated or most <= 0:
             return removed
         counts = self.counts
-        adj = self.g._adj
+        closed = self.g._closed
         members = self.members
         outside = members.difference(prefer_outside)
         for order in (outside, members - outside):
             for v in sorted(order):
-                # v is a member, so every count in N[v] is at least 1
-                if counts[v] > 1 and 1 not in map(counts.__getitem__, adj[v]):
+                # v's private set (see private) is empty
+                if 1 not in map(counts.__getitem__, closed[v]):
                     self.remove(v)
                     removed.append(v)
                     if len(removed) == most:
@@ -332,41 +339,26 @@ class CoverCounts:
         return removed
 
 
-def coverage(g: Graph, s) -> tuple[int, int]:
-    """Masks of the vertices dominated at least once and at least twice by s.
-
-    The private set of a member v is nb_mask[v] & ~twice: the vertices that
-    only v dominates. v can be dropped from s, keeping it dominating, iff s
-    dominates (once == full_mask) and that private set is empty. One pass
-    answers the question for every member at once.
-    """
-    once = twice = 0
-    for v in s:
-        nb = g.nb_mask[v]
-        twice |= once & nb
-        once |= nb
-    return once, twice
-
-
 def is_minimal_dominating(g: Graph, s) -> bool:
-    """Dominating, and every member has a nonempty private set (see coverage)."""
-    members = frozenset(s)
-    once, twice = coverage(g, members)
-    return once == g.full_mask and all(g.nb_mask[v] & ~twice for v in members)
+    """Dominating, and every member has a nonempty private set
+    (CoverCounts.private)."""
+    state = CoverCounts(g, frozenset(s))
+    return state.dominating and all(map(state.private, state.members))
 
 
 def reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
     """Greedy minimalization of a dominating set.
 
     One CoverCounts.shrink pass, lowest id first, until every member has a
-    private vertex (see coverage). Returns the minimal subset and the
-    removal order. Every prefix of the removal order passes through
+    private vertex (CoverCounts.private). Returns the minimal subset and
+    the removal order. Every prefix of the removal order passes through
     dominating sets only.
     """
-    if not is_dominating(g, s):
+    state = CoverCounts(g, s)
+    if not state.dominating:
         raise ValueError("input set is not dominating")
-    removals = CoverCounts(g, s).shrink((), len(s))
-    return frozenset(s).difference(removals), removals
+    removals = state.shrink((), len(state))
+    return frozenset(state.members), removals
 
 
 def dominating_subsets(g: Graph, max_size: int):
@@ -377,7 +369,7 @@ def dominating_subsets(g: Graph, max_size: int):
     dominating set. Each size is a depth-first walk over the vertex
     prefixes in lex order, carrying each prefix's mask and cover. A prefix
     whose last vertex is v is dropped, with everything below it, once
-    cover | rest[v + 1] != full_mask, where rest[v] is the closed
+    cover | rest[v + 1] != full, where rest[v] is the closed
     neighbourhood of v..n-1: no completion from the later vertices
     dominates. Every prefix visited is a distinct subset, so the walk
     scans at most C(n, <= max_size) subsets, and on most graphs far fewer;
@@ -386,8 +378,8 @@ def dominating_subsets(g: Graph, max_size: int):
     2**30-bit family is 128 MiB.
     """
     n = g.n
-    nb = g.nb_mask
-    full = g.full_mask
+    nb = list(map(mask_of, g._closed))  # N[v] as bitmasks, for this walk only
+    full = (1 << n) - 1
     bits = [1 << v for v in range(n)]
     rest = [0] * (n + 1)
     for v in reversed(range(n)):
@@ -430,15 +422,16 @@ def greedy_maximal_is(g: Graph, seed=frozenset()) -> frozenset[int]:
     the current set. Deterministic; the result is a maximal independent set
     and therefore also a minimal dominating set.
     """
-    smask = mask_of(seed)
-    for v in seed:
-        if g.adj_mask[v] & smask:
-            raise ValueError("seed is not independent")
+    members = set(seed)
+    adj = g._adj
+    if not all(0 <= v < g.n for v in members):
+        raise IndexError(f"seed has a vertex outside 0..{g.n - 1}")
+    if not all(adj[v].isdisjoint(members) for v in members):
+        raise ValueError("seed is not independent")
     for v in range(g.n):
-        bit = 1 << v
-        if not (smask & bit) and not (g.adj_mask[v] & smask):
-            smask |= bit
-    return set_of(smask)
+        if v not in members and adj[v].isdisjoint(members):
+            members.add(v)
+    return frozenset(members)
 
 
 @dataclass(frozen=True)
@@ -453,7 +446,7 @@ class GraphInvariants:
     witness_max_is: frozenset[int]
 
 
-def exact_invariants(g: Graph, limit: int = 24) -> GraphInvariants:
+def exact_invariants(g: Graph, limit: int = DEFAULT_INVARIANTS_LIMIT) -> GraphInvariants:
     """Exact gamma, upper Gamma and alpha over bit-sliced subset families.
 
     A family is one 2**n-bit int whose bit S is set iff the vertex set with
@@ -523,11 +516,8 @@ class SubsetFamilies:
         has = self.has = [_member_plane(v, size) for v in range(n)]
         self.planes = _popcount_planes(n)
         dom = self.full
-        for w in range(n):
-            covered = 0
-            for v in (w, *g._adj[w]):
-                covered |= has[v]
-            dom &= covered
+        for row in g._closed:
+            dom &= reduce(or_, map(has.__getitem__, row))
         self.dominating = dom
 
     def size_at_most(self, k: int) -> int:

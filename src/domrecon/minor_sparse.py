@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .graphs import (
+    DEFAULT_INVARIANTS_LIMIT,
     CoverCounts,
     Graph,
-    coverage,
     exact_invariants,
     is_dominating,
-    mask_of,
 )
 from .sequences import (
     Move,
@@ -81,8 +80,8 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
     For each a in A - B (ascending) the search runs d rounds. Each round
     keeps a size-(d-1) set S of B - A containing all previously recorded
     dominators (padded with the lowest unused ids of B - A) and looks for
-    the lowest-id vertex x of a's private set within A (see coverage: the
-    x with N[x] & A == {a}) that S does not dominate. No such x means
+    the lowest-id vertex x of a's private set within A (CoverCounts.private:
+    the x with N[x] & A == {a}) that S does not dominate. No such x means
     (A | S) - {a} is dominating: SwapWitness.
     Otherwise the lowest dominator of x in (B - A) - S is recorded and the
     next round starts. If every a survives all d rounds, the recorded
@@ -91,19 +90,20 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
     A, B = frozenset(A), frozenset(B)
     if d < 2:
         raise ValueError("d must be at least 2")
-    if not is_dominating(g, A) or not is_dominating(g, B):
+    counts_a = CoverCounts(g, A)
+    if not counts_a.dominating or not is_dominating(g, B):
         raise ValueError("A and B must both be dominating sets")
-    b_minus_a = sorted(B - A)
+    b_only = B - A
+    b_minus_a = sorted(b_only)
     if len(b_minus_a) < d:
         raise ValueError(f"|B - A| = {len(b_minus_a)} is below d = {d}")
     a_minus_b = sorted(A - B)
     if not a_minus_b:
         raise ValueError("A - B is empty; nothing to swap")
-    _, twice_a = coverage(g, A)
-    bma_mask = mask_of(b_minus_a)
+    closed = g._closed
     entries: list[DensityEntry] = []
     for a in a_minus_b:
-        private = g.nb_mask[a] & ~twice_a
+        private = counts_a.private(a)
         recorded: list[int] = []
         xs: list[int] = []
         for _round in range(d):
@@ -113,19 +113,18 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
                     break
                 if w not in recorded:
                     s_set.append(w)
-            smask = mask_of(s_set)
-            once_s, _ = coverage(g, s_set)
-            candidates = private & ~once_s
+            covered_s = chain.from_iterable(map(closed.__getitem__, s_set))
+            candidates = private.difference(covered_s)
             if not candidates:
                 witness = SwapWitness(a=a, s=frozenset(s_set))
                 if not is_dominating(g, (A | witness.s) - {a}):
                     raise RuntimeError(f"swap dropping {a + 1} broke domination")
                 return witness
-            x = (candidates & -candidates).bit_length() - 1
-            choices = g.nb_mask[x] & bma_mask & ~smask
+            x = min(candidates)
+            choices = [w for w in closed[x] if w in b_only and w not in s_set]
             if not choices:
                 raise RuntimeError(f"B dominates {x + 1} only from A or S")
-            b = (choices & -choices).bit_length() - 1
+            b = min(choices)
             recorded.append(b)
             xs.append(x)
         entries.append(DensityEntry(a=a, bs=tuple(recorded), xs=tuple(xs)))
@@ -159,8 +158,7 @@ def verify_density_witness(g: Graph, A, B, witness: DensityWitness) -> bool:
             if x in seen_xs:
                 return False
             seen_xs.add(x)
-            nb = g.nb_mask[x]
-            if nb & mask_of(A) != 1 << entry.a:
+            if A.intersection(g._closed[x]) != {entry.a}:
                 return False
             if x in left:
                 if x != entry.a:
@@ -220,17 +218,18 @@ def suggested_density(
 
 
 def minor_sparse_transform(
-    g: Graph, ds, dt, d: int, gamma_upper: int, limit: int = 24
+    g: Graph, ds, dt, d: int, gamma_upper: int, limit: int = DEFAULT_INVARIANTS_LIMIT
 ) -> ReconfigSequence:
     """Dominating-set reconfiguration with budget Gamma + d - 1.
 
-    Pads both endpoints to size exactly Gamma, then plays find_swap's swaps
-    toward the target on one CoverCounts, each followed by shrink_in_place,
-    until the difference drops below d; the remainder is a plain
-    add-then-remove walk. Length is bounded by 2*Gamma*(d-1) +
-    2*(Gamma-1). When d exceeds Gamma the general transform already fits
-    the budget and is used as-is, with its own length bound 10 n (this
-    needs exact invariants, so it needs g.n <= limit).
+    Pads both endpoints to size exactly Gamma, ds on the one CoverCounts
+    the rounds carry, then plays find_swap's swaps toward the target on
+    it, each followed by shrink_in_place, until the difference drops below
+    d; the remainder is a plain add-then-remove walk. Length is bounded
+    by 2*Gamma*(d-1) + 2*(Gamma-1). When d exceeds Gamma the general
+    transform already fits the budget and is used as-is, with its own
+    length bound 10 n (this needs exact invariants, so it needs
+    g.n <= limit).
 
     Raises:
         NotMinorSparseError: find_swap certified a dense bipartite minor,
@@ -248,9 +247,15 @@ def minor_sparse_transform(
     if d > gamma_upper:
         return general_transform(g, ds, dt, exact_invariants(g, limit=limit), k=k)
 
-    head = pad_to_size(g, ds, gamma_upper, k)
+    state = CoverCounts(g, ds)
+    if len(ds) > gamma_upper:
+        # pad_to_size's shrink, whose checks check_endpoints has made
+        shrink = shrink_in_place(state, gamma_upper, ())
+        head = ReconfigSequence.tracked(ds, shrink, k, state.members)
+    else:
+        head = pad_to_size(g, ds, gamma_upper, k)
+        play(state, head.moves)
     tail = pad_to_size(g, dt, gamma_upper, k)
-    state = CoverCounts(g, head.end)
     target = tail.end
     moves: list[Move] = []
     pending = len(target - state.members)

@@ -260,7 +260,7 @@ def verify_sequence(
     """
     budget = seq.k if k is None else k
     n = g.n
-    adj = g._adj
+    closed = g._closed
     counts = [0] * n
     undominated = n
 
@@ -283,7 +283,7 @@ def verify_sequence(
     for v in seq.start:
         if not 0 <= v < n:
             return report(0, BAD_MOVE, len(seq.start), None)
-        for w in (v, *adj[v]):
+        for w in closed[v]:
             if not counts[w]:
                 undominated -= 1
             counts[w] += 1
@@ -301,7 +301,7 @@ def verify_sequence(
             if v in members or not 0 <= v < n:
                 break
             members.add(v)
-            for w in (v, *adj[v]):
+            for w in closed[v]:
                 if not counts[w]:
                     undominated -= 1
                 counts[w] += 1
@@ -312,7 +312,7 @@ def verify_sequence(
             if v not in members:
                 break
             members.remove(v)
-            for w in (v, *adj[v]):
+            for w in closed[v]:
                 counts[w] -= 1
                 if not counts[w]:
                     undominated += 1

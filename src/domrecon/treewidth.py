@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (
+    DEFAULT_INVARIANTS_LIMIT,
     CoverCounts,
     FormatError,
     Graph,
@@ -283,7 +284,7 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
     )
 
 
-def _check_property(g, ntd, j, state, target, gamma_upper, candidates):
+def _check_property(ntd, j, state, target, gamma_upper, candidates):
     """The sweep invariant at bag j, on a CoverCounts state.
 
     The retired check looks at `candidates`: a member v with tops[v] < j
@@ -338,22 +339,22 @@ def tw_step(
         raise ValueError(f"tw_step applies to bags 0..{ntd.num_bags - 2}, got {j}")
     tw = ntd.width
     retired = ntd.retiring[j - 1] if j else ()
-    _check_property(g, ntd, j, state, target, gamma_upper, retired)
+    _check_property(ntd, j, state, target, gamma_upper, retired)
     left = ntd.left_masks[j]
     tops = ntd.tops
 
     a_out = [v for v in ntd.retiring[j] if v in state and v not in target]
     # c_in: target vertices left of j still missing; b3: bag vertices right
     # of j, missing, and in the target or without a neighbour in c_in
-    c_mask = target_mask & left & ~state.mask
+    c_in = set_of(target_mask & left & ~state.mask)
     b3 = [
         v
         for v in ntd.bags[j]
         if tops[v] != j
         and v not in state
-        and (v in target or not g.adj_mask[v] & c_mask)
+        and (v in target or c_in.isdisjoint(g._adj[v]))
     ]
-    additions = set_of(c_mask).union(b3)
+    additions = c_in.union(b3)
     if any(v in state for v in additions):
         raise SweepError(f"additions at bag {j} are already in the working set")
     peak = len(state) + len(additions)
@@ -377,22 +378,22 @@ def tw_step(
 
 
 def final_merge(
-    g: Graph,
     ntd: NormalizedTD,
-    d_b,
+    state: CoverCounts,
     target,
     gamma_upper: int,
 ) -> tuple[Move, ...]:
     """Close the gap at the root bag: add D - D_b, then remove D_b - D.
 
-    After the sweep every surplus vertex of the working set lives in the
-    root bag, so at most tw + 1 of them remain; the target being a minimum
-    dominating set caps the additions by the removals.
+    state is the sweep's CoverCounts, holding D_b; it is checked, not
+    changed. After the sweep every surplus vertex of the working set lives
+    in the root bag, so at most tw + 1 of them remain; the target being a
+    minimum dominating set caps the additions by the removals.
     """
-    d_b, target = frozenset(d_b), frozenset(target)
+    d_b, target = frozenset(state.members), frozenset(target)
     tw = ntd.width
     root = ntd.num_bags - 1
-    _check_property(g, ntd, root, CoverCounts(g, d_b), target, gamma_upper, d_b)
+    _check_property(ntd, root, state, target, gamma_upper, d_b)
     surplus = d_b - target
     missing = target - d_b
     if not surplus <= ntd.bags[root]:
@@ -420,7 +421,7 @@ def treewidth_transform(
     gamma_upper: int,
     min_ds=None,
     root: int | None = None,
-    limit: int = 24,
+    limit: int = DEFAULT_INVARIANTS_LIMIT,
 ) -> ReconfigSequence:
     """Dominating-set reconfiguration with budget Gamma + tw + 1.
 
@@ -479,7 +480,7 @@ def treewidth_transform(
         moves: list[Move] = []
         for j in range(ntd.num_bags - 1):
             moves += tw_step(g, ntd, j, state, target, gamma_upper, target_mask)
-        moves += play(state, final_merge(g, ntd, state.members, target, gamma_upper))
+        moves += play(state, final_merge(ntd, state, target, gamma_upper))
         if len(moves) > 2 * g.n * (tw + 1):
             raise SweepError(
                 f"sweep used {len(moves)} moves, above the 2 n (tw + 1) bound"

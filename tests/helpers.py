@@ -7,6 +7,7 @@ disagreement in a test points at a real defect rather than a shared bug.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from domrecon import Graph
-from domrecon.graphs import GraphInvariants, LimitError, coverage
+from domrecon.graphs import GraphInvariants, LimitError
 from domrecon.sequences import (
     BAD_MOVE,
     NOT_DOMINATING,
@@ -88,19 +89,33 @@ def connected_order_8(seven_vertex: list[Graph]) -> list[Graph]:
     return result
 
 
+@functools.lru_cache(maxsize=64)
+def masks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(adj, nb, full): the open and closed neighbourhood of each vertex and
+    the whole vertex set as bitmasks, built from g.edges() alone, so the
+    references below share no domination code with the package."""
+    adj = [0] * g.n
+    for u, v in g.edges():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj), tuple(a | 1 << v for v, a in enumerate(adj)), (1 << g.n) - 1
+
+
 def _dominates(g: Graph, s) -> bool:
+    _, nb, full = masks(g)
     cov = 0
     for v in s:
-        cov |= g.nb_mask[v]
-    return cov == g.full_mask
+        cov |= nb[v]
+    return cov == full
 
 
 def _rest_dominates(g: Graph, s, v) -> bool:
+    _, nb, full = masks(g)
     rest = 0
     for u in s:
         if u != v:
-            rest |= g.nb_mask[u]
-    return rest == g.full_mask
+            rest |= nb[u]
+    return rest == full
 
 
 def naive_is_minimal_dominating(g: Graph, s) -> bool:
@@ -125,16 +140,19 @@ def naive_reduce_to_minimal(g: Graph, s) -> tuple[frozenset[int], list[int]]:
 
 
 def naive_greedy_removals(g: Graph, s, prefer_outside) -> list[int]:
-    """CoverCounts.shrink's greedy order as a coverage loop: after every
-    removal recompute the coverage and drop the first member, outside
-    prefer_outside first, then by id, whose private set is empty; nothing
-    when s does not dominate."""
-    nb = g.nb_mask
+    """CoverCounts.shrink's greedy order as a mask loop: after every removal
+    recompute the vertices dominated once and twice and drop the first
+    member, outside prefer_outside first, then by id, whose private set is
+    empty; nothing when s does not dominate."""
+    _, nb, full = masks(g)
     current = sorted(s, key=lambda v: (v in prefer_outside, v))
     removals: list[int] = []
     while True:
-        once, twice = coverage(g, current)
-        if once != g.full_mask:
+        once = twice = 0
+        for v in current:
+            twice |= once & nb[v]
+            once |= nb[v]
+        if once != full:
             return removals
         i = next((i for i, v in enumerate(current) if not nb[v] & ~twice), None)
         if i is None:
@@ -266,9 +284,7 @@ def naive_exact_invariants(g: Graph, limit: int = 24) -> GraphInvariants:
     n = g.n
     if n > limit:
         raise LimitError(f"exact_invariants needs n <= {limit}, got {n}")
-    nb = g.nb_mask
-    adj = g.adj_mask
-    full = g.full_mask
+    adj, nb, full = masks(g)
     gamma = None
     min_ds: tuple[int, ...] | None = None
     upper_size, upper_ds = -1, None
@@ -600,8 +616,7 @@ def _elimination_neighbors(adj: list[int], v: int, smask: int) -> int:
 
 
 def _elimination_order(g: Graph, width: int) -> list[int] | None:
-    full = g.full_mask
-    adj = g.adj_mask
+    adj, _, full = masks(g)
     dead: set[int] = set()
     order: list[int] = []
 
@@ -643,7 +658,7 @@ def exact_tree_decomposition(g: Graph) -> TreeDecomposition:
     parents = []
     smask = 0
     for i, v in enumerate(order):
-        nb = _elimination_neighbors(g.adj_mask, v, smask)
+        nb = _elimination_neighbors(masks(g)[0], v, smask)
         bag = {v}
         parent = None
         best = None

@@ -67,6 +67,9 @@ class TestDsToIsPath:
             is_ds_to_is_path(g, {1, 3}, {0, 2}, 4)
         with pytest.raises(ValueError, match="budget violated"):
             is_ds_to_is_path(g, {0, 2}, {0, 2}, 2)
+        # -2 is refused, not read as vertex 2
+        with pytest.raises(IndexError, match="out of range for n=4"):
+            is_ds_to_is_path(g, {0, 2}, {0, -2}, 4)
 
 
 class TestCommonVertexPath:
@@ -185,7 +188,7 @@ class TestGeneralTransform:
 
     @pytest.mark.parametrize("ds", [{-2}, {1, 7}])
     def test_rejects_vertices_outside_the_graph(self, ds):
-        # {-2} would index nb_mask[-2], the middle vertex, and dominate
+        # {-2} would index _closed[-2], the middle vertex, and dominate
         g = path(3)
         with pytest.raises(ValueError, match=r"ds has a vertex outside 0\.\.2"):
             general_transform(g, ds, {1}, exact_invariants(g))

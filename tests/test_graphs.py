@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -13,7 +14,6 @@ from domrecon.graphs import (
     GraphFormatError,
     LimitError,
     SubsetFamilies,
-    coverage,
     dominating_subsets,
     exact_invariants,
     format_graph,
@@ -91,6 +91,23 @@ class TestGraph:
         tree = [(v, rng.randrange(v)) for v in range(1, 2000)]
         assert is_connected(Graph(2000, tree))
         assert not is_connected(Graph(2000, tree[:999] + tree[1000:]))
+
+    def test_memory_linear_in_n(self):
+        # what a parsed path holds grows with n + m: four times the vertices
+        # take about four times the memory, where n-bit masks per vertex
+        # would take about sixteen
+        def held(n):
+            text = format_graph(path(n))
+            tracemalloc.start()
+            try:
+                g = parse_graph(text)
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert g.n == n
+            return size
+
+        assert held(12_800) <= 6 * held(3_200)
 
 
 class TestGraphFormat:
@@ -217,14 +234,26 @@ class TestDomination:
         assert state.members == {1, 3}
 
 
+class TestOutOfRange:
+    @pytest.mark.parametrize("s", [{-2}, {1, 3}])
+    def test_count_readers_raise_index_error(self, s):
+        # the readers that build cover counts refuse an id outside 0..n-1
+        # as CoverCounts.add does; {-2} is not read as _closed[-2]
+        g = path(3)
+        for reader in (is_minimal_dominating, reduce_to_minimal):
+            with pytest.raises(IndexError, match="out of range for n=3"):
+                reader(g, s)
+
+
 class TestCoverage:
     def test_path(self):
         g = path(4)
-        once, twice = coverage(g, {0, 1, 3})
-        assert once == g.full_mask
-        assert twice == mask_of({0, 1, 2})
+        state = CoverCounts(g, {0, 1, 3})
+        assert state.dominating
+        # dominated at least twice
+        assert [w for w in range(g.n) if state.counts[w] > 1] == [0, 1, 2]
         # private sets: 0 has none, 1 has none, 3 keeps {3}
-        assert [g.nb_mask[v] & ~twice for v in (0, 1, 3)] == [0, 0, mask_of({3})]
+        assert [state.private(v) for v in (0, 1, 3)] == [set(), set(), {3}]
 
 
 @st.composite
@@ -244,7 +273,8 @@ def assert_recounted(g: Graph, state: CoverCounts):
     mask = mask_of(members)
     assert state.mask == mask
     assert len(state) == len(members)
-    assert state.counts == [(g.nb_mask[w] & mask).bit_count() for w in range(g.n)]
+    nb = helpers.masks(g)[1]
+    assert state.counts == [(nb[w] & mask).bit_count() for w in range(g.n)]
     assert state.undominated == state.counts.count(0)
     assert state.dominating == is_dominating(g, members)
 
@@ -312,7 +342,8 @@ class TestGreedyShrink:
         s = data.draw(vertices)
         if data.draw(st.booleans()):
             # make s dominate by adding the vertices it misses
-            s |= {w for w in range(g.n) if not g.nb_mask[w] & mask_of(s)}
+            nb = helpers.masks(g)[1]
+            s |= {w for w in range(g.n) if not nb[w] & mask_of(s)}
         prefer = data.draw(vertices)
         detour = data.draw(vertices)
         want = helpers.naive_greedy_removals(g, s, prefer)
@@ -430,6 +461,12 @@ class TestGreedyMaximalIS:
     def test_rejects_dependent_seed(self):
         with pytest.raises(ValueError, match="not independent"):
             greedy_maximal_is(path(4), frozenset({0, 1}))
+
+    @pytest.mark.parametrize("seed", [{-1}, {4}])
+    def test_rejects_seed_outside_the_graph(self, seed):
+        # a negative id is refused, not read as the adjacency of n - 1
+        with pytest.raises(IndexError, match=r"seed has a vertex outside 0\.\.3"):
+            greedy_maximal_is(path(4), frozenset(seed))
 
     def test_result_is_minimal_dominating(self):
         for g in (path(6), cycle(5), star(4), Graph(3, [])):

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 import helpers
-from domrecon import graphs, minor_sparse
+from domrecon import minor_sparse
 from domrecon.graphs import Graph, greedy_maximal_is, is_dominating
 from domrecon.instances import gen_grid, gen_random_tree
 from domrecon.minor_sparse import (
@@ -69,6 +69,13 @@ class TestFindSwap:
             find_swap(g, {0, 2, 4}, {0, 2, 5}, 2)
         with pytest.raises(ValueError, match="A - B is empty"):
             find_swap(g, {0, 3}, {0, 1, 3, 4}, 2)
+
+    @pytest.mark.parametrize("A", [{-6, 3}, {0, 3, 6}])
+    def test_vertex_outside_a_raises_index_error(self, A):
+        # A's private sets are read from its cover counts, which refuse an
+        # id outside 0..n-1 rather than wrapping a negative one
+        with pytest.raises(IndexError, match="out of range for n=6"):
+            find_swap(complete_bipartite(3, 3), A, {1, 4}, 2)
 
 
 class TestDensityWitness:
@@ -147,7 +154,7 @@ class TestPadToSize:
 
     def test_builds_counts_only_to_shrink(self, monkeypatch):
         # a set that already fits, or grows, builds no cover counts; a shrink
-        # of any depth builds them once and never recomputes the coverage
+        # of any depth builds them once
         built = []
 
         class Counting(minor_sparse.CoverCounts):
@@ -155,11 +162,7 @@ class TestPadToSize:
                 built.append(len(s))
                 super().__init__(g, s)
 
-        def no_coverage(g, s):
-            raise AssertionError("coverage recomputed")
-
         monkeypatch.setattr(minor_sparse, "CoverCounts", Counting)
-        monkeypatch.setattr(graphs, "coverage", no_coverage)
         g = path(6)
         s = {0, 1, 2, 3, 4}
         assert pad_to_size(g, s, 5, 5).moves == ()
@@ -279,6 +282,40 @@ class TestMinorSparseTransform:
     def test_rejects_vertices_outside_the_graph(self, ds):
         with pytest.raises(ValueError, match=r"ds has a vertex outside 0\.\.2"):
             minor_sparse_transform(path(3), ds, {0, 2}, 2, 2)
+
+    def test_one_cover_counts_per_endpoint(self, monkeypatch):
+        # outside find_swap, the 4x5 grid (Gamma = 10, d = 4) with both
+        # endpoints grown to k = 13 builds one CoverCounts for ds, padded and
+        # swapped on in place, and one for pad_to_size's shrink of dt
+        built = []
+        phase = "transform"
+
+        class Counting(minor_sparse.CoverCounts):
+            def __init__(self, g, s=()):
+                built.append((phase, len(s)))
+                super().__init__(g, s)
+
+        def search(*args):
+            nonlocal phase
+            phase = "find_swap"
+            try:
+                return original_search(*args)
+            finally:
+                phase = "transform"
+
+        original_search = minor_sparse.find_swap
+        monkeypatch.setattr(minor_sparse, "CoverCounts", Counting)
+        monkeypatch.setattr(minor_sparse, "find_swap", search)
+        g = gen_grid(4, 5)
+        gamma_upper, d = 10, 4
+        assert helpers.milp_gamma_upper(g) == gamma_upper
+        vertices = range(g.n)
+        ds = helpers.fill(greedy_maximal_is(g), 13, vertices)
+        dt = helpers.fill(greedy_maximal_is(g, frozenset({g.n - 1})), 13, reversed(vertices))
+        seq = minor_sparse_transform(g, ds, dt, d, gamma_upper)
+        assert verify_sequence(g, seq, expected_end=dt).valid
+        assert [size for where, size in built if where == "transform"] == [13, 13]
+        assert ("find_swap", 10) in built
 
     def test_shrink_failure_blames_gamma(self):
         g = path(6)

@@ -181,7 +181,7 @@ class TestWalkHelpers:
         # ds before dt, domination before size
         with pytest.raises(ValueError, match="ds has size 3"):
             check_endpoints(g, {0, 1, 2}, {0}, 2)
-        # range before domination: nb_mask[-2] is the middle vertex's mask
+        # range before domination: _closed[-2] is the middle vertex's row
         with pytest.raises(ValueError, match=r"dt has a vertex outside 0\.\.2"):
             check_endpoints(g, {1}, {-2}, 2)
 

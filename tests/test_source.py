@@ -227,3 +227,29 @@ def test_treewidth_does_not_import_minor_sparse():
         return any(name.rpartition(".")[2] == "minor_sparse" for name in names)
 
     assert owners(path, imports_minor_sparse) == set()
+
+
+def test_graph_holds_no_masks_and_one_closed_table():
+    # Graph's memory stays linear in n + m: no n-bit mask per vertex, and the
+    # closed neighbourhoods (v, *N(v)) are built once, by Graph.__init__, for
+    # every domination count to walk instead of a fresh tuple per call
+    assert not [name for name in domrecon.Graph.__slots__ if "mask" in name]
+    sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    found = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) == 2
+            and isinstance(node.elts[1], ast.Starred)
+        ):
+            found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sources:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    assert found == {("graphs.py", ".Graph.__init__")}

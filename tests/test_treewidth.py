@@ -317,9 +317,9 @@ class TestOneCheckPerBoundary:
         checked = Counter()
         original = treewidth._check_property
 
-        def counted(g, ntd, j, *rest):
+        def counted(ntd, j, *rest):
             checked[j] += 1
-            return original(g, ntd, j, *rest)
+            return original(ntd, j, *rest)
 
         monkeypatch.setattr(treewidth, "_check_property", counted)
         treewidth_transform(g, td, *args, **kwargs)
@@ -352,8 +352,8 @@ class TestOneCheckPerBoundary:
 
 class TestOneStatePerSweep:
     def test_reduce_and_bags_share_one_cover_counts(self, monkeypatch):
-        # each sweep builds one CoverCounts for its reduce phase and every
-        # bag; final_merge builds one more to check the invariant at the root
+        # each sweep builds one CoverCounts for its reduce phase, every bag
+        # and the root, where final_merge checks the invariant on it
         g = path(7)
         gamma_upper = exact_invariants(g).gamma_upper
         ds, dt = frozenset(range(6)), frozenset(range(1, 7))
@@ -381,7 +381,7 @@ class TestOneStatePerSweep:
         seq = treewidth_transform(g, path_td(7), ds, dt, gamma_upper)
         report = verify_sequence(g, seq, expected_end=dt)
         assert report.valid and report.end_matches
-        assert built == {"sweep": 2, "merge": 2}
+        assert (built["sweep"], built["merge"]) == (2, 0)
 
 
 def tree_case(n: int, seed: int):
@@ -502,7 +502,7 @@ class TestTwStep:
         for j, (moves, members) in enumerate(expected):
             assert tw_step(g, ntd, j, state, target, 3, mask_of(target)) == moves
             assert state.members == members
-        assert final_merge(g, ntd, state.members, target, 3) == (Move.remove(4),)
+        assert final_merge(ntd, state, target, 3) == (Move.remove(4),)
 
     def test_retired_check(self):
         # path 0-1-2-3-4, bags {0,1} {1,2} {2,3} {3,4}; vertex 1 retires at bag 1
@@ -517,21 +517,23 @@ class TestFinalMerge:
     def test_path3(self):
         g = path(3)
         ntd = normalize_td(path_td(3))
-        moves = final_merge(g, ntd, {1, 2}, {1}, gamma_upper=2)
+        state = CoverCounts(g, {1, 2})
+        moves = final_merge(ntd, state, {1}, gamma_upper=2)
         assert moves == (Move.remove(2),)
+        assert state.members == {1, 2}  # checked at the root, not changed
 
     def test_rejects_non_minimum_target(self):
         g = path(3)
         ntd = normalize_td(path_td(3))
         with pytest.raises(SweepError, match="not a minimum dominating set"):
-            final_merge(g, ntd, {1}, {0, 2}, gamma_upper=2)
+            final_merge(ntd, CoverCounts(g, {1}), {0, 2}, gamma_upper=2)
 
     def test_rejects_retired_vertex_off_target(self):
         g = path(5)
         ntd = normalize_td(path_td(5))
         # vertex 0 is retired by the root bag yet absent from the target
         with pytest.raises(SweepError, match="keeps retired vertices"):
-            final_merge(g, ntd, {0, 3}, {1, 4}, gamma_upper=2)
+            final_merge(ntd, CoverCounts(g, {0, 3}), {1, 4}, gamma_upper=2)
 
 
 class TestTransform:
