@@ -238,9 +238,16 @@ def format_vertex_list(s) -> str:
     return ",".join(str(v + 1) for v in sorted(s))
 
 
+def _closed_row(g: Graph, v: int) -> tuple[int, ...]:
+    """N[v] = (v, *N(v)); IndexError for v outside 0..n-1, never a wrap."""
+    if not 0 <= v < g.n:
+        raise IndexError(f"vertex {v} out of range for n={g.n}")
+    return g._closed[v]
+
+
 def is_dominating(g: Graph, s) -> bool:
     """True iff every vertex is in s or adjacent to a vertex of s."""
-    return len(set(chain.from_iterable(map(g._closed.__getitem__, s)))) == g.n
+    return len(set(chain.from_iterable(_closed_row(g, v) for v in s))) == g.n
 
 
 class CoverCounts:
@@ -257,12 +264,11 @@ class CoverCounts:
     transforms carry one through sequences.play and shrink_in_place.
     """
 
-    __slots__ = ("g", "members", "mask", "counts", "undominated")
+    __slots__ = ("g", "members", "counts", "undominated")
 
     def __init__(self, g: Graph, s=()):
         self.g = g
         self.members: set[int] = set()
-        self.mask = 0
         self.counts = [0] * g.n
         self.undominated = g.n
         for v in s:
@@ -281,15 +287,12 @@ class CoverCounts:
     def add(self, v: int) -> None:
         if v in self.members:
             raise ValueError(f"cannot add {v}: already present")
-        if not 0 <= v < self.g.n:
-            raise IndexError(f"vertex {v} out of range for n={self.g.n}")
         counts = self.counts
-        for w in self.g._closed[v]:
+        for w in _closed_row(self.g, v):
             if not counts[w]:
                 self.undominated -= 1
             counts[w] += 1
         self.members.add(v)
-        self.mask |= 1 << v
 
     def remove(self, v: int) -> None:
         if v not in self.members:
@@ -300,7 +303,6 @@ class CoverCounts:
             if not counts[w]:
                 self.undominated += 1
         self.members.remove(v)
-        self.mask ^= 1 << v
 
     def private(self, v: int) -> frozenset[int]:
         """The private set of member v: the vertices of its closed

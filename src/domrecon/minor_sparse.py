@@ -90,20 +90,25 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
     A, B = frozenset(A), frozenset(B)
     if d < 2:
         raise ValueError("d must be at least 2")
-    counts_a = CoverCounts(g, A)
-    if not counts_a.dominating or not is_dominating(g, B):
+    state = CoverCounts(g, A)
+    if not state.dominating or not is_dominating(g, B):
         raise ValueError("A and B must both be dominating sets")
+    if len(B - A) < d:
+        raise ValueError(f"|B - A| = {len(B - A)} is below d = {d}")
+    if not A - B:
+        raise ValueError("A - B is empty; nothing to swap")
+    return _search_swap(state, B, d)
+
+
+def _search_swap(state: CoverCounts, B, d: int) -> SwapWitness | DensityWitness:
+    """find_swap past its checks, on the state of A, which it only reads."""
+    A = state.members
     b_only = B - A
     b_minus_a = sorted(b_only)
-    if len(b_minus_a) < d:
-        raise ValueError(f"|B - A| = {len(b_minus_a)} is below d = {d}")
-    a_minus_b = sorted(A - B)
-    if not a_minus_b:
-        raise ValueError("A - B is empty; nothing to swap")
-    closed = g._closed
+    closed = state.g._closed
     entries: list[DensityEntry] = []
-    for a in a_minus_b:
-        private = counts_a.private(a)
+    for a in sorted(A - B):
+        private = state.private(a)
         recorded: list[int] = []
         xs: list[int] = []
         for _round in range(d):
@@ -117,7 +122,7 @@ def find_swap(g: Graph, A, B, d: int) -> SwapWitness | DensityWitness:
             candidates = private.difference(covered_s)
             if not candidates:
                 witness = SwapWitness(a=a, s=frozenset(s_set))
-                if not is_dominating(g, (A | witness.s) - {a}):
+                if not is_dominating(state.g, (A | witness.s) - {a}):
                     raise RuntimeError(f"swap dropping {a + 1} broke domination")
                 return witness
             x = min(candidates)
@@ -260,7 +265,7 @@ def minor_sparse_transform(
     moves: list[Move] = []
     pending = len(target - state.members)
     while pending >= d:
-        found = find_swap(g, state.members, target, d)
+        found = _search_swap(state, target, d)
         if isinstance(found, DensityWitness):
             raise NotMinorSparseError(d, found, state.members, target)
         moves += play(state, add_then_remove(found.s, (found.a,)))

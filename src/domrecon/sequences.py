@@ -189,8 +189,7 @@ def shrink_in_place(state: CoverCounts, size: int, prefer_outside) -> tuple[Move
 
 
 def check_endpoints(g: Graph, ds, dt, k: int):
-    """Reject endpoints outside 0..n-1 (before is_dominating, which would
-    wrap a negative id), not dominating, or of size > k."""
+    """Reject endpoints outside 0..n-1, not dominating, or of size > k."""
     for name, s in (("ds", ds), ("dt", dt)):
         if not all(0 <= v < g.n for v in s):
             raise ValueError(f"{name} has a vertex outside 0..{g.n - 1}")

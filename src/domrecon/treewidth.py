@@ -13,6 +13,7 @@ import heapq
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .graphs import (
     DEFAULT_INVARIANTS_LIMIT,
@@ -24,7 +25,6 @@ from .graphs import (
     dominating_subsets,
     int_fields,
     is_dominating,
-    mask_of,
     set_of,
 )
 from .sequences import (
@@ -140,15 +140,10 @@ class NormalizedTD:
     The root is the last bag; parent[i] is the tree parent's index (always
     larger than i) or None for the root. No bag contains an adjacent bag.
 
-    Four values the sweep reads at every bag are computed once, on first
+    Three values the sweep reads at every bag are computed once, on first
     use, and cached on the instance: `width`, `tops` (tops[v] is the
-    highest index of a bag holding v, -1 if none), `retiring`
-    (retiring[j] lists the vertices v with tops[v] == j, ascending) and
-    `left_masks`.
-    left_masks[j] has bit v set iff bag tops[v] lies in j's subtree (for a
-    valid decomposition: iff v is held only by bags of that subtree). It
-    is built leaves first by the rule left[j] = (bits of v with
-    tops[v] == j) | OR of left[c] over the children c of j.
+    highest index of a bag holding v, -1 if none) and `retiring`
+    (retiring[j] lists the vertices v with tops[v] == j, ascending).
     """
 
     n: int
@@ -179,18 +174,6 @@ class NormalizedTD:
             if top >= 0:
                 retiring[top].append(v)
         return tuple(map(tuple, retiring))
-
-    @cached_property
-    def left_masks(self) -> tuple[int, ...]:
-        left = [0] * len(self.bags)
-        for v, top in enumerate(self.tops):
-            if top >= 0:
-                left[top] |= 1 << v
-        # every child precedes its parent, so left[c] is final when c is reached
-        for c, p in enumerate(self.parent):
-            if p is not None:
-                left[p] |= left[c]
-        return tuple(left)
 
 
 def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD:
@@ -313,7 +296,7 @@ def tw_step(
     state: CoverCounts,
     target,
     gamma_upper: int,
-    target_mask: int,
+    owed: dict[int, list[int]],
 ) -> tuple[Move, ...]:
     """One sweep step across bag j (any bag except the root), in place.
 
@@ -327,26 +310,30 @@ def tw_step(
     size Gamma + tw + 1 and the move budget 2 (tw + 1); failures raise
     SweepError since they can only come from inconsistent inputs.
 
-    Precondition: state is the CoverCounts the sweep carries, last updated
-    by the step at j - 1, and target_mask = mask_of(target). That step
-    checked every other member and added only target vertices or vertices
-    whose top bag lies above j - 1, so the entry check looks for retired
-    vertices only among retiring[j - 1]. A step costs O(moved vertices'
-    degrees) plus a few n-bit mask operations, and when it has to shrink,
-    one sort of the members and O(deg v) per member shrink_in_place looks at.
+    Precondition: state and owed are the sweep's, as the step at j - 1 left
+    them. That step checked every other member and added only target
+    vertices or vertices whose top bag lies above j - 1, so the entry check
+    looks for retired vertices only among retiring[j - 1]. A vertex v lies
+    left of exactly the bags on the parent chain from tops[v]; a retired
+    target vertex that a step's shrink removes is owed to the next bag on
+    its chain (owed[a] lists those owed to a), so a missing target vertex
+    left of j retires at j or is owed to j. A step costs O(moved vertices'
+    degrees) plus one chain walk per vertex owed, and when it has to
+    shrink, one sort of the members and O(deg v) per member
+    shrink_in_place looks at.
     """
     if not 0 <= j < ntd.num_bags - 1:
         raise ValueError(f"tw_step applies to bags 0..{ntd.num_bags - 2}, got {j}")
     tw = ntd.width
     retired = ntd.retiring[j - 1] if j else ()
     _check_property(ntd, j, state, target, gamma_upper, retired)
-    left = ntd.left_masks[j]
     tops = ntd.tops
 
     a_out = [v for v in ntd.retiring[j] if v in state and v not in target]
     # c_in: target vertices left of j still missing; b3: bag vertices right
     # of j, missing, and in the target or without a neighbour in c_in
-    c_in = set_of(target_mask & left & ~state.mask)
+    due = chain(ntd.retiring[j], owed.pop(j, ()))
+    c_in = {v for v in due if v in target and v not in state}
     b3 = [
         v
         for v in ntd.bags[j]
@@ -355,8 +342,6 @@ def tw_step(
         and (v in target or c_in.isdisjoint(g._adj[v]))
     ]
     additions = c_in.union(b3)
-    if any(v in state for v in additions):
-        raise SweepError(f"additions at bag {j} are already in the working set")
     peak = len(state) + len(additions)
     if peak > gamma_upper + tw + 1:
         raise SweepError(
@@ -369,7 +354,14 @@ def tw_step(
             f"swap at bag {j} broke domination; the decomposition or the"
             " target set is inconsistent"
         )
-    moves += shrink_in_place(state, gamma_upper, target)
+    shrunk = shrink_in_place(state, gamma_upper, target)
+    for v in (mv.vertex for mv in shrunk):
+        if v in target and tops[v] <= j:
+            a = tops[v]
+            while a <= j:
+                a = ntd.parent[a]
+            owed.setdefault(a, []).append(v)
+    moves += shrunk
     if len(moves) > 2 * (tw + 1):
         raise SweepError(
             f"bag {j} needed {len(moves)} moves, above the 2 (tw + 1) budget"
@@ -472,14 +464,14 @@ def treewidth_transform(
                 stacklevel=2,
             )
     check_endpoints(g, ds, dt, k)
-    target_mask = mask_of(target)
 
     def sweep(start) -> ReconfigSequence:
         state = CoverCounts(g, start)
         reduce = shrink_in_place(state, gamma_upper, ())
+        owed: dict[int, list[int]] = {}
         moves: list[Move] = []
         for j in range(ntd.num_bags - 1):
-            moves += tw_step(g, ntd, j, state, target, gamma_upper, target_mask)
+            moves += tw_step(g, ntd, j, state, target, gamma_upper, owed)
         moves += play(state, final_merge(ntd, state, target, gamma_upper))
         if len(moves) > 2 * g.n * (tw + 1):
             raise SweepError(

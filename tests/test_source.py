@@ -253,3 +253,24 @@ def test_graph_holds_no_masks_and_one_closed_table():
     for path in sources:
         visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
     assert found == {("graphs.py", ".Graph.__init__")}
+
+
+def test_sweep_holds_no_masks():
+    # the treewidth sweep's memory stays linear in n: no n-bit copy of the
+    # members on CoverCounts, no n-bit left set per bag on NormalizedTD, and
+    # treewidth.py turns no vertex set into a mask
+    from domrecon.graphs import CoverCounts
+    from domrecon.treewidth import NormalizedTD
+
+    assert not [name for name in CoverCounts.__slots__ if "mask" in name]
+    assert not [name for name in vars(NormalizedTD) if "mask" in name]
+    path = Path(domrecon.__file__).parent / "treewidth.py"
+
+    def names_mask_of(node):
+        return (
+            (isinstance(node, ast.alias) and node.name == "mask_of")
+            or (isinstance(node, ast.Name) and node.id == "mask_of")
+            or (isinstance(node, ast.Attribute) and node.attr == "mask_of")
+        )
+
+    assert owners(path, names_mask_of) == set()

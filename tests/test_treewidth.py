@@ -2,6 +2,8 @@ import functools
 import hashlib
 import random
 import sys
+import tracemalloc
+import warnings
 from collections import Counter
 
 import pytest
@@ -14,8 +16,6 @@ from domrecon.graphs import (
     LimitError,
     exact_invariants,
     greedy_maximal_is,
-    mask_of,
-    set_of,
 )
 from domrecon.instances import (
     gen_mynhardt,
@@ -180,7 +180,7 @@ REFERENCE_CASES = reference_cases()
 
 
 class TestCachedStructures:
-    """Tops, width, left sets and leaf order against the naive versions."""
+    """Tops, retiring lists, width and leaf order against the naive versions."""
 
     def check(self, td, root):
         ntd = normalize_td(td, root=root)
@@ -194,11 +194,9 @@ class TestCachedStructures:
         assert ntd.width == max(len(bag) for bag in bags) - 1
         for j in range(ntd.num_bags):
             left, _ = helpers.naive_classify_left(ntd, j)
-            assert set_of(ntd.left_masks[j]) == left
             # tw_step reads a bag vertex's side from tops: the bag vertices
             # left of j are exactly the ones retiring at j
-            on_left = {v for v in ntd.bags[j] if ntd.left_masks[j] >> v & 1}
-            assert on_left == set(ntd.retiring[j])
+            assert left.intersection(ntd.bags[j]) == set(ntd.retiring[j])
 
     @pytest.mark.parametrize("index", range(len(REFERENCE_CASES)))
     def test_against_naive(self, index):
@@ -283,7 +281,7 @@ class TestValidateAgainstNaive:
 class TestSweepReadsCachedStructures:
     def test_no_descendant_walk_and_one_build_per_decomposition(self, monkeypatch):
         builds = Counter()
-        for name in ("tops", "retiring", "left_masks"):
+        for name in ("tops", "retiring"):
             cached = NormalizedTD.__dict__[name]
             assert isinstance(cached, functools.cached_property)
             compute = cached.func
@@ -306,7 +304,7 @@ class TestSweepReadsCachedStructures:
         report = verify_sequence(g, seq, expected_end=min_ds)
         assert report.valid and report.end_matches
         # one normalized decomposition per transform, each structure built once
-        assert builds == {"tops": 1, "retiring": 1, "left_masks": 1}
+        assert builds == {"tops": 1, "retiring": 1}
 
 
 class TestOneCheckPerBoundary:
@@ -431,6 +429,44 @@ class TestLinearity:
         assert small["verify"] == large["verify"] == 0
 
 
+def path_certificates(n: int) -> tuple[frozenset[int], int]:
+    """A minimum dominating set of P_n, {1, 4, 7, ...} plus n - 1 when
+    n = 1 (mod 3), and Gamma(P_n) = ceil(n / 2)."""
+    extra = {n - 1} if n % 3 == 1 else set()
+    return frozenset(range(1, n, 3)).union(extra), (n + 1) // 2
+
+
+class TestSweepMemory:
+    def test_path_certificates(self):
+        for n in range(1, 16):
+            g = path(n)
+            inv = exact_invariants(g)
+            min_ds, gamma_upper = path_certificates(n)
+            assert graphs.is_dominating(g, min_ds)
+            assert (len(min_ds), gamma_upper) == (inv.gamma_min, inv.gamma_upper)
+
+    def test_peak_linear_in_n(self):
+        # the sweep holds no n-bit set: four times the vertices take about
+        # four times the peak, where one n-bit mask per bag would take
+        # about sixteen
+        def peak(n):
+            g, td = path(n), path_td(n)
+            min_ds, gamma_upper = path_certificates(n)
+            ds = frozenset(range(0, n, 2)) | {n - 1}
+            dt = frozenset(range(1, n, 2))
+            tracemalloc.start()
+            try:
+                with pytest.warns(UserWarning, match="trusting"):
+                    seq = treewidth_transform(g, td, ds, dt, gamma_upper, min_ds=min_ds)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert seq.end == dt
+            return top
+
+        assert peak(12_800) <= 5 * peak(3_200)
+
+
 class TestGoldenOutput:
     """Pins the exact sequence files: the deterministic tie-breaking (lowest
     id first, greedy restart order) is part of the sweep's contract."""
@@ -458,7 +494,7 @@ class TestGoldenOutput:
 class TestTwStep:
     def step(self, g, ntd, j, members, target, gamma_upper):
         state = CoverCounts(g, members)
-        moves = tw_step(g, ntd, j, state, target, gamma_upper, mask_of(target))
+        moves = tw_step(g, ntd, j, state, target, gamma_upper, {})
         return moves, state
 
     def test_path3_by_hand(self):
@@ -494,15 +530,33 @@ class TestTwStep:
         ntd = normalize_td(path_td(5))
         target = frozenset({1, 3})
         state = CoverCounts(g, {0, 2, 4})
+        owed = {}
         expected = [
             ((Move.add(1), Move.remove(0)), {1, 2, 4}),
             ((), {1, 2, 4}),
             ((Move.add(3), Move.remove(2)), {1, 3, 4}),
         ]
         for j, (moves, members) in enumerate(expected):
-            assert tw_step(g, ntd, j, state, target, 3, mask_of(target)) == moves
+            assert tw_step(g, ntd, j, state, target, 3, owed) == moves
             assert state.members == members
         assert final_merge(ntd, state, target, 3) == (Move.remove(4),)
+
+    def test_retired_vertex_is_owed_along_its_own_chain(self):
+        # bag tree 0 -> 3, 1 -> 2 -> 3 -> 4, and a state built by hand (no
+        # sweep on this graph reaches it): vertex 0 retires at bag 0, off
+        # bag 1's chain. The shrink at bag 1 drops the non-target 2, then
+        # the target 0, which next lies left at bag 3, not at parent[1] = 2
+        edges = [(0, 7), (1, 2), (1, 4), (1, 6), (2, 5), (3, 5), (3, 6), (4, 7), (5, 6)]
+        g = Graph(8, edges + [(5, 7)])
+        sets = ({0, 1, 7}, {3, 5, 6}, {1, 5, 6, 7}, {1, 2, 5, 7}, {1, 2, 4, 7})
+        bags = tuple(map(frozenset, sets))
+        tree = ((0, 3), (1, 2), (2, 3), (3, 4))
+        ntd = normalize_td(TreeDecomposition(8, bags, tree, root=4))
+        assert (ntd.bags, ntd.parent, ntd.tops[0]) == (bags, (3, 2, 3, 4, None), 0)
+        state, owed = CoverCounts(g, {0, 2, 3, 7}), {}
+        moves = tw_step(g, ntd, 1, state, frozenset({0, 1, 3}), 4, owed)
+        assert moves == (Move.add(5), Move.add(6), Move.remove(2), Move.remove(0))
+        assert owed == {3: [0]}
 
     def test_retired_check(self):
         # path 0-1-2-3-4, bags {0,1} {1,2} {2,3} {3,4}; vertex 1 retires at bag 1
@@ -511,6 +565,96 @@ class TestTwStep:
         assert ntd.retiring == ((0,), (1,), (2,), (3, 4))
         with pytest.raises(SweepError, match=r"keeps retired vertices \[2\]"):
             self.step(g, ntd, 2, {1, 3}, {0, 3}, gamma_upper=2)
+
+
+class TestCInAgainstNaive:
+    """tw_step's c_in, read from retiring[j] and the owed lists, against its
+    definition: the target vertices left of j that the working set lacks,
+    with left(j) from helpers.naive_classify_left's walk up the parents."""
+
+    def transform_checked(self, g, td, ds, dt, gamma_upper, min_ds=None):
+        """Run the transform with every tw_step's additions checked; return
+        the (bag, vertex) pairs c_in took from outside retiring[bag]."""
+        original = treewidth.tw_step
+        lefts = {}
+        owed_in = []
+
+        def checked(g, ntd, j, state, target, gamma_upper, owed):
+            if j not in lefts:
+                lefts[j] = helpers.naive_classify_left(ntd, j)[0]
+            left = lefts[j]
+            c_in = left.intersection(target).difference(state.members)
+            b3 = {
+                v
+                for v in ntd.bags[j]
+                if v not in left
+                and v not in state
+                and (v in target or c_in.isdisjoint(g.neighbors(v)))
+            }
+            moves = original(g, ntd, j, state, target, gamma_upper, owed)
+            assert {mv.vertex for mv in moves if mv.kind == sequences.ADD} == c_in | b3
+            owed_in.extend((j, v) for v in sorted(c_in) if v not in ntd.retiring[j])
+            return moves
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treewidth, "tw_step", checked)
+            seq = treewidth_transform(g, td, ds, dt, gamma_upper, min_ds=min_ds)
+        assert verify_sequence(g, seq, expected_end=dt).end_matches
+        return owed_in
+
+    def test_shrunk_target_vertex_is_owed_to_the_parent_bag(self):
+        # C5 0-1-2-3-4-0, bags {0,1,4} {1,2,4} {2,3,4}, D = {0, 2}: from
+        # {1, 4}, bag 0 adds 0, whose shrink then drops 0 again (1 and 4
+        # each keep a private vertex). 0 retires at bag 0, so bag 1 adds it
+        # back from owed[1], not from retiring[1] = (1,)
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        bags = (frozenset({0, 1, 4}), frozenset({1, 2, 4}), frozenset({2, 3, 4}))
+        td = TreeDecomposition(5, bags, ((0, 1), (1, 2)), root=2)
+        ntd = normalize_td(td)
+        assert (ntd.bags, ntd.parent) == (bags, (1, 2, None))
+        assert ntd.retiring == ((0,), (1,), (2, 3, 4))
+        target = frozenset({0, 2})
+        state, owed = CoverCounts(g, {1, 4}), {}
+        moves = tw_step(g, ntd, 0, state, target, 2, owed)
+        assert moves == (Move.add(0), Move.remove(0))
+        assert state.members == {1, 4} and owed == {1: [0]}
+        assert tw_step(g, ntd, 1, state, target, 2, owed) == (
+            Move.add(0), Move.add(2), Move.remove(1), Move.remove(4)
+        )
+        assert state.members == target and owed == {}
+        owed_in = self.transform_checked(g, td, {1, 4}, target, 2)
+        assert owed_in == [(1, 0)]
+
+    def test_atlas_every_dominating_start(self, atlas_connected):
+        # each dominating set within k is swept once: paired with the next
+        owed_in = 0
+        for n in range(1, 7):
+            for g in atlas_connected[n]:
+                td = helpers.exact_tree_decomposition(g)
+                gamma_upper = exact_invariants(g).gamma_upper
+                k = gamma_upper + td.width + 1
+                starts = [s for s in helpers.all_dominating_sets(g) if len(s) <= k]
+                for ds, dt in zip(starts[::2], starts[1::2] + starts[:1]):
+                    owed_in += len(self.transform_checked(g, td, ds, dt, gamma_upper))
+        assert owed_in > 0
+
+    @pytest.mark.parametrize("ell", [3, 4, 5])
+    def test_mynhardt_random_pairs(self, ell):
+        g = gen_mynhardt(ell)
+        _, min_ds = helpers.milp_gamma(g)
+        gamma_upper = helpers.milp_gamma_upper(g)
+        rng = random.Random(ell)
+        for td in (gen_mynhardt_td(ell), gen_mynhardt_pd(ell)):
+            k = gamma_upper + td.width + 1
+            ends = []
+            while len(ends) < 20:
+                s = frozenset(rng.sample(range(g.n), rng.randint(len(min_ds), k)))
+                if graphs.is_dominating(g, s):
+                    ends.append(s)
+            for ds, dt in zip(ends[::2], ends[1::2]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    self.transform_checked(g, td, ds, dt, gamma_upper, min_ds=min_ds)
 
 
 class TestFinalMerge:
