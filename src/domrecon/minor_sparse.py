@@ -208,10 +208,20 @@ def suggested_density(
 ) -> int:
     """Density parameter to use for a given forbidden clique minor.
 
-    planar=True returns 4 outright. Otherwise a graph with no K_ell minor
-    is d-minor-sparse for d = ceil(C * ell * sqrt(log2 ell)); the constant
-    C ~ 0.265 is asymptotic (exact only up to a (1 + o(1)) factor), so for
-    small ell prefer a known bound for the class at hand.
+    planar=True returns 4 outright. Otherwise d bounds the average degree
+    of every graph with no K_ell minor, and so of every minor of such a
+    graph, bipartite ones included. For ell <= 9 it returns d = 2 (ell - 2),
+    proven by the largest edge count of a graph with no K_ell minor:
+    - ell <= 7: (ell - 2) n - C(ell - 1, 2) edges (Mader 1968);
+    - ell = 8: 6n - 20 edges (Jorgensen 1994);
+    - ell = 9: 7n - 27 edges (Song & Thomas 2006).
+    For ell >= 10 it returns ceil(C * ell * sqrt(log2 ell)), Thomason's
+    asymptotic extremal function (2001) with C ~ 0.265: exact only up to
+    a (1 + o(1)) factor and unproven at any fixed ell, so prefer a known
+    bound for the class at hand. With the default C it stays below
+    2 (ell - 2) for every ell below 2**56, although K_{ell-2} joined to s
+    independent vertices has no K_ell minor and holds K_{ell-2,s}, whose
+    average degree tends to 2 (ell - 2) as s grows.
     """
     if planar:
         return 4
@@ -219,6 +229,8 @@ def suggested_density(
         raise ValueError("ell must be at least 3 (or pass planar=True)")
     if C <= 0:
         raise ValueError("C must be positive")
+    if ell <= 9:
+        return 2 * (ell - 2)
     return math.ceil(C * ell * math.sqrt(math.log2(ell)))
 
 

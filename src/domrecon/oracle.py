@@ -2,17 +2,18 @@
 
 Nodes of R_k(G) are all dominating sets of size <= k, edges join sets whose
 symmetric difference is a single vertex. build_reconfig_graph lists nodes
-and adjacency rows, as diameters need; threshold_scan builds each R_k of
-its window this way, one at a time. SubsetLattice answers
-counts, components, frozen sets and distances on 2**n-bit families of all
-subsets instead, for 2**n <= DEFAULT_SUBSET_CAP (n <= 22), in about
-(n + log2(n) + 4) * 2**n bits: roughly 3 MiB at n = 20.
+and adjacency rows, as diameters need; threshold_scan lists R_kmax this way
+once and measures every smaller R_k of its window as a prefix of it.
+SubsetLattice answers counts, components, frozen sets and distances on
+2**n-bit families of all subsets instead, for 2**n <= DEFAULT_SUBSET_CAP
+(n <= 22), in about (n + log2(n) + 4) * 2**n bits: roughly 3 MiB at n = 20.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, groupby
@@ -33,9 +34,11 @@ DEFAULT_VERTEX_LIMIT = 20
 DEFAULT_SUBSET_CAP = 1 << 22
 # the largest n whose 2**n subsets fit the cap, for SubsetLattice
 LATTICE_MAX_N = DEFAULT_SUBSET_CAP.bit_length() - 1
-# sources per bit-parallel BFS pass; each pass holds two generations of
-# num_nodes rows of this many bits
+# sources per bit-parallel BFS block: at least _BLOCK, and more while one
+# generation of num_nodes rows of that many bits fits _ROW_BUDGET bits; each
+# block holds two generations
 _BLOCK = 1024
+_ROW_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -219,19 +222,31 @@ def build_reconfig_graph(
                 j = index[mask | bit]
                 row.append(j)
                 adj[j].append(i)
-    adj = tuple(map(tuple, adj))
+    rg = _reconfig_graph(g.n, k, tuple(nodes), tuple(map(tuple, adj)))
+    # index_of and distance reuse the dict built above, not a second copy
+    rg.__dict__["_index"] = index
+    return rg
+
+
+def _reconfig_graph(n: int, k: int, nodes, adj) -> ReconfigGraph:
+    # the one constructor of listed and prefix R_k: labels its components
     comp, num_components = _label_components(adj)
-    rg = ReconfigGraph(
-        graph_n=g.n,
+    return ReconfigGraph(
+        graph_n=n,
         k=k,
-        nodes=tuple(nodes),
+        nodes=nodes,
         adj=adj,
         comp=comp,
         num_components=num_components,
     )
-    # index_of and distance reuse the dict built above, not a second copy
-    rg.__dict__["_index"] = index
-    return rg
+
+
+def _prefix(rg: ReconfigGraph, k: int) -> ReconfigGraph:
+    # R_k for k < rg.k: nodes are sorted by size, so R_k is the first m
+    # nodes, and each ascending row is cut before its first index >= m
+    m = bisect_right(rg.nodes, k, key=int.bit_count)
+    adj = tuple(row[:bisect_left(row, m)] for row in rg.adj[:m])
+    return _reconfig_graph(rg.graph_n, k, rg.nodes[:m], adj)
 
 
 def _label_components(adj) -> tuple[tuple[int, ...], int]:
@@ -267,7 +282,10 @@ def distance(rg: ReconfigGraph | SubsetLattice, a, b) -> int | float:
 def _eccentricities(adj) -> int:
     """Largest BFS eccentricity over all nodes, by bit-parallel BFS.
 
-    Sources run in blocks of _BLOCK consecutive indices. Within a block,
+    Sources run in even blocks of consecutive indices: as few as keep each
+    block within max(_BLOCK, _ROW_BUDGET // len(adj)) sources, so R_k with
+    up to 2,048 nodes runs one block, mynhardt(4)'s R_5 (2,414 nodes) two
+    of 1,207, and above 4,096 nodes blocks stay near _BLOCK. Within a block,
     reach[u] is a bitset of the block's sources within h hops of u after
     round h, and each round replaces reach[u] by reach[u] OR the rows of
     u's neighbours. Only neighbours of a row that grew in the last round
@@ -285,7 +303,8 @@ def _eccentricities(adj) -> int:
     round loops over the neighbours of the grown rows only, which wins on
     large R_k, where a block's frontier often covers a small part of the
     graph. Both leave the same rows. Memory: two generations of len(adj)
-    rows of _BLOCK bits, and 2E slot indices.
+    rows of one block's bits, each generation at most
+    max(_BLOCK * len(adj), _ROW_BUDGET) bits, and 2E slot indices.
     """
     n = len(adj)
     order = sorted(range(n), key=list(map(len, adj)).__getitem__, reverse=True)
@@ -307,9 +326,10 @@ def _eccentricities(adj) -> int:
                 for col in columns
             ]))
         lo = hi
+    blocks = -(-n // max(_BLOCK, _ROW_BUDGET // max(n, 1)))
     return max(
-        (_block_rounds(label[lo:lo + _BLOCK], nbrs, degree, runs)
-         for lo in range(0, n, _BLOCK)),
+        (_block_rounds(label[n * b // blocks:n * (b + 1) // blocks], nbrs, degree, runs)
+         for b in range(blocks)),
         default=0,
     )
 
@@ -390,15 +410,14 @@ class ThresholdReport:
     d0_empirical: int | None
 
 
-def _scan_record(g: Graph, k: int, limit: int) -> ThresholdRecord:
-    # a function of its own, so that R_k is freed before R_k+1 is built
-    rg = build_reconfig_graph(g, k, limit)
-    # one all-sources BFS per record: when R_k is connected its diameter
-    # is the largest component diameter
+def _scan_record(rg: ReconfigGraph) -> ThresholdRecord:
+    # a function of its own, so that each prefix is freed before the next
+    # one is cut. One all-sources BFS per record: when R_k is connected its
+    # diameter is the largest component diameter
     widest = max_component_diameter(rg)
     connected = is_connected(rg)
     return ThresholdRecord(
-        k=k,
+        k=rg.k,
         num_nodes=rg.num_nodes,
         num_edges=rg.num_edges,
         num_components=rg.num_components,
@@ -413,21 +432,28 @@ def threshold_scan(
 ) -> ThresholdReport:
     """Connectivity of R_k for k = gamma..kmax, plus the empirical threshold.
 
-    Each R_k is built by build_reconfig_graph and measured by
-    max_component_diameter, one k at a time. d0_empirical is the smallest
-    k0 in the scanned window with R_k connected for every k0 <= k <= kmax,
-    or None when R_kmax itself is disconnected (the threshold then lies
-    outside the window). Known monotonicity, that connectivity at some
-    k > Gamma persists at k + 1, is checked on every scan as a self-check
-    of the enumeration.
+    R_kmax is listed once by build_reconfig_graph. Each smaller R_k is its
+    prefix of nodes with at most k members, with every row cut to that
+    prefix, and each R_k is measured by max_component_diameter, one k at a
+    time. d0_empirical is the smallest k0 in the scanned window with R_k
+    connected for every k0 <= k <= kmax, or None when R_kmax itself is
+    disconnected (the threshold then lies outside the window). Known
+    monotonicity, that connectivity at some k > Gamma persists at k + 1,
+    is checked on every scan as a self-check of the enumeration.
     """
     check_scan(g.n, kmax, limit)
-    # no R_k with k <= kmax scans more subsets than R_kmax, so each build
-    # below passes the checks made here, before exact_invariants
+    # the one listing below passes the checks made here, before
+    # exact_invariants
     _check_listing(g, kmax, limit)
     inv = exact_invariants(g, limit=limit)
     gamma = inv.gamma_min
-    records = [_scan_record(g, k, limit) for k in range(gamma, kmax + 1)]
+    records: list[ThresholdRecord] = []
+    if gamma <= kmax:
+        full = build_reconfig_graph(g, kmax, limit)
+        records = [
+            _scan_record(full if k == kmax else _prefix(full, k))
+            for k in range(gamma, kmax + 1)
+        ]
     for earlier, later in zip(records, records[1:]):
         if earlier.k > inv.gamma_upper and earlier.connected and not later.connected:
             raise RuntimeError(

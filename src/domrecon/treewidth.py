@@ -199,10 +199,17 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
             i = representative[i]
         return i
 
-    merged = True
-    while merged:
-        merged = False
-        for i in sorted(a for a in range(b) if alive[a]):
+    # merge the lowest bag with a nested neighbour into or with its lowest
+    # such neighbour, until none is left. Bags never change, so a bag with
+    # no nested neighbour keeps none until it gains a neighbour, and a merge
+    # gives new neighbours only to keep and the dropped bag's former
+    # neighbours. So bags are checked in index order, and after a merge
+    # just those of them not above the current index are checked again,
+    # lowest first: the order of a full rescan after every merge
+    for start in range(b):
+        pending = [start]
+        while pending:
+            i = heapq.heappop(pending)
             for j in sorted(adjacency[i]):
                 if bags[i] <= bags[j]:
                     drop, keep = i, j
@@ -211,17 +218,16 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
                 else:
                     continue
                 adjacency[keep].discard(drop)
-                for other in adjacency[drop]:
+                for other in adjacency[drop]:  # keep among them
                     if other != keep:
                         adjacency[other].discard(drop)
                         adjacency[other].add(keep)
                         adjacency[keep].add(other)
+                    if other <= start and other not in pending:
+                        heapq.heappush(pending, other)
                 adjacency[drop] = set()
                 alive[drop] = False
                 representative[drop] = keep
-                merged = True
-                break
-            if merged:
                 break
 
     chosen = td.root if root is None else root

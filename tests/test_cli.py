@@ -300,6 +300,25 @@ class TestTransform:
         assert "a 1: b 5 via x 6; b 2 via x 1" in err
         assert "a 4: b 5 via x 4; b 2 via x 3" in err
 
+    def test_density_certificate_with_the_true_gamma(self, capsys, tmp_path):
+        # mynhardt(3) has Gamma = 3, found by the CLI itself: no understated
+        # certificate is needed for the method to fail honestly at d = 2
+        graph, out = tmp_path / "m3.gr", tmp_path / "m3.seq"
+        assert run(capsys, "gen", "--family", "mynhardt", "--param", "3", "-o", str(graph))[0] == 0
+        code, stdout, err = run(
+            capsys, "transform", str(graph), "--from", "1,5,8", "--to", "2,3,4",
+            "--method", "minor-sparse", "--d", "2", "-o", str(out),
+        )
+        assert (code, stdout) == (4, "")
+        assert err == (
+            "assumption violated: no swap exists and the search certifies a"
+            " bipartite minor of average degree >= 2; the graph is not"
+            " 2-minor-sparse\ndense minor certificate, average degree >= 2:\n"
+            "  a 5: b 4 via x 7; b 3 via x 6\n"
+            "  a 8: b 4 via x 10; b 3 via x 9\n"
+        )
+        assert not out.exists()
+
     def test_unreachable_exit_code(self, capsys, tmp_path):
         f = tmp_path / "k3.gr"
         f.write_text("p ds 3 3\ne 1 2\ne 1 3\ne 2 3\n")

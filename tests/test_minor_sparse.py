@@ -4,8 +4,8 @@ import pytest
 
 import helpers
 from domrecon import minor_sparse
-from domrecon.graphs import Graph, greedy_maximal_is, is_dominating
-from domrecon.instances import gen_grid, gen_random_tree
+from domrecon.graphs import Graph, exact_invariants, greedy_maximal_is, is_dominating
+from domrecon.instances import gen_grid, gen_mynhardt, gen_random_tree, gen_suzuki_planar
 from domrecon.minor_sparse import (
     DensityEntry,
     DensityWitness,
@@ -198,6 +198,14 @@ class TestSuggestedDensity:
         assert suggested_density(3) == 2
         assert suggested_density(10) == 5
 
+    def test_proven_small_clique_bounds(self):
+        # Mader for ell <= 7, Jorgensen for 8, Song & Thomas for 9; K_{2,3}
+        # (no K4 minor, average degree 2.4) and planar graphs (no K5 minor,
+        # d = 4) fit under them
+        assert [suggested_density(ell) for ell in range(3, 10)] == [2, 4, 6, 8, 10, 12, 14]
+        assert suggested_density(4) > 2.4
+        assert suggested_density(5) >= suggested_density(planar=True)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
             suggested_density(2)
@@ -205,6 +213,39 @@ class TestSuggestedDensity:
             suggested_density()
         with pytest.raises(ValueError, match="positive"):
             suggested_density(5, C=0.0)
+
+
+class TestHonestDensityCertificates:
+    """With the true Gamma = 3, the method fails on some pairs of minimal
+    dominating sets at d = 2, and each failure certifies a dense minor."""
+
+    @pytest.mark.parametrize(
+        "g,d,pairs,raised",
+        [
+            (gen_mynhardt(3), 2, 1369, 72),
+            (gen_mynhardt(3), 3, 1369, 0),
+            (gen_suzuki_planar(), 2, 1156, 66),
+            (gen_suzuki_planar(), 3, 1156, 0),
+        ],
+        ids=["mynhardt3-d2", "mynhardt3-d3", "suzuki-d2", "suzuki-d3"],
+    )
+    def test_every_minimal_pair(self, g, d, pairs, raised):
+        gamma_upper = exact_invariants(g).gamma_upper
+        assert gamma_upper == 3
+        minimal = helpers.all_minimal_dominating_sets(g)
+        assert len(minimal) ** 2 == pairs
+        failures = 0
+        for a in minimal:
+            for b in minimal:
+                try:
+                    seq = minor_sparse_transform(g, a, b, d, gamma_upper)
+                except NotMinorSparseError as exc:
+                    assert verify_density_witness(g, exc.A, exc.B, exc.witness)
+                    failures += 1
+                    continue
+                report = verify_sequence(g, seq, expected_end=b)
+                assert report.valid and report.end_matches, report.describe()
+        assert failures == raised
 
 
 class TestMinorSparseTransform:

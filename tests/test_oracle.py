@@ -13,6 +13,7 @@ from domrecon.graphs import Graph, LimitError, exact_invariants, set_of
 from domrecon.instances import gen_grid, gen_mynhardt
 from domrecon.oracle import (
     SubsetLattice,
+    ThresholdRecord,
     build_reconfig_graph,
     diameter,
     distance,
@@ -276,6 +277,33 @@ def peripheral_last(rg):
     )
 
 
+def record_blocks(monkeypatch) -> list[int]:
+    """The list to which every block that _block_rounds runs adds its size."""
+    sizes = []
+    real = oracle._block_rounds
+
+    def recorded(sources, *rest):
+        sizes.append(len(sources))
+        return real(sources, *rest)
+
+    monkeypatch.setattr(oracle, "_block_rounds", recorded)
+    return sizes
+
+
+def force_blocks(monkeypatch, block) -> list[int]:
+    """Blocks of at most `block` sources, whatever the row budget allows."""
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, "_ROW_BUDGET", 0)
+    return record_blocks(monkeypatch)
+
+
+def assert_even_blocks(sizes, num_nodes, block):
+    # ceil(N / block) blocks, which cover the N sources and differ by at most 1
+    assert len(sizes) == -(-num_nodes // block)
+    assert sum(sizes) == num_nodes
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
 class TestAgainstNaiveBFS:
     """The level-by-level and bit-parallel BFS agree with the deque BFS on small R_k."""
 
@@ -295,14 +323,18 @@ class TestAgainstNaiveBFS:
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_source_blocks(self, atlas_connected, monkeypatch, block):
-        # blocks of 1 and 3 straddle components and leave a last partial
-        # block; sorting by eccentricity puts the peripheral nodes in it
-        monkeypatch.setattr(oracle, "_BLOCK", block)
+        # blocks of 1 and 3 straddle components, and blocks of 3 split
+        # unevenly; sorting by eccentricity puts the peripheral nodes in
+        # the last block
+        sizes = force_blocks(monkeypatch, block)
         checked = 0
         for rg in atlas_reconfig_graphs(atlas_connected):
             want = naive_diameters(rg.adj)
             for view in (rg, peripheral_last(rg)):
-                assert (max_component_diameter(view), diameter(view)) == want
+                sizes.clear()
+                assert max_component_diameter(view) == want[0]
+                assert_even_blocks(sizes, rg.num_nodes, block)
+                assert diameter(view) == want[1]
             checked += 1
         assert checked == 126
 
@@ -310,7 +342,7 @@ class TestAgainstNaiveBFS:
     def test_wide_and_narrow_rounds(self, monkeypatch, block):
         # compress runs only in wide rounds and reduce only in narrow ones,
         # so counting their calls shows that each block size ran both kinds
-        monkeypatch.setattr(oracle, "_BLOCK", block)
+        sizes = force_blocks(monkeypatch, block)
         calls = collections.Counter()
 
         def counted(kind, real):
@@ -326,14 +358,41 @@ class TestAgainstNaiveBFS:
         assert any(not row for rg, _ in cases for row in rg.adj)
         assert any(rg.num_components > 1 for rg, _ in cases)
         for rg, want in cases:
-            assert (max_component_diameter(rg), diameter(rg)) == want
+            sizes.clear()
+            assert max_component_diameter(rg) == want[0]
+            assert_even_blocks(sizes, rg.num_nodes, block)
+            assert diameter(rg) == want[1]
         assert calls["wide"] and calls["narrow"]
+
+    @pytest.mark.parametrize(
+        "num_nodes,want",
+        [
+            (1, [1]),
+            (2048, [2048]),
+            (2049, [1024, 1025]),
+            (4096, [1024] * 4),
+            (22994, [999] * 6 + [1000] * 17),
+        ],
+    )
+    def test_block_rule(self, monkeypatch, num_nodes, want):
+        # up to 2,048 nodes run one block; above 4,096, blocks of about 1,024
+        sizes = record_blocks(monkeypatch)
+        assert oracle._eccentricities(((),) * num_nodes) == 0
+        assert sorted(sizes) == want
+
+    def test_mynhardt4_r5_runs_two_blocks(self, monkeypatch):
+        # R_5 of the oracle-scan workload (2,414 nodes): two blocks of 1,207
+        rg = build_reconfig_graph(gen_mynhardt(4), 5)
+        sizes = record_blocks(monkeypatch)
+        assert max_component_diameter(rg) == 10
+        assert sizes == [1207, 1207]
 
     def test_kernel_memory_mynhardt4_r5(self):
         # R_5 is the largest R_k of the oracle-scan benchmark workload. The
         # frontier-loop kernel alone peaked at 1,001,940 traced bytes here;
         # the bound allows half as much again, so that the kernel cannot
-        # quietly push that workload's peak_mb towards its bound
+        # quietly push that workload's peak_mb towards its bound. Two blocks
+        # of 1,207 sources peak at 1,489,048 bytes on Python 3.11
         rg = build_reconfig_graph(gen_mynhardt(4), 5)
         tracemalloc.start()
         try:
@@ -402,6 +461,38 @@ class TestThresholdScan:
             True,
         )
         assert report.d0_empirical == 3
+
+    def test_one_listing_equals_the_per_k_route(self, atlas_connected, monkeypatch):
+        # every record equals R_k built and measured on its own, and each
+        # scan walks the dominating sets once, for R_kmax
+        walks = []
+        real = oracle.dominating_subsets
+        monkeypatch.setattr(
+            oracle, "dominating_subsets", lambda g, k: walks.append(k) or real(g, k)
+        )
+        scans = 0
+        for n in range(1, 7):
+            for g in atlas_connected[n]:
+                gamma = exact_invariants(g).gamma_min
+                want = []
+                for k in range(gamma, n + 1):
+                    rg = build_reconfig_graph(g, k)
+                    want.append(ThresholdRecord(
+                        k=k,
+                        num_nodes=rg.num_nodes,
+                        num_edges=rg.num_edges,
+                        num_components=rg.num_components,
+                        connected=is_connected(rg),
+                        diameter=diameter(rg),
+                        max_component_diameter=max_component_diameter(rg),
+                    ))
+                for kmax in range(gamma, n + 1):
+                    walks.clear()
+                    report = threshold_scan(g, kmax)
+                    assert walks == [kmax]
+                    assert report.records == tuple(want[: kmax - gamma + 1])
+                    scans += 1
+        assert scans == 718
 
     def test_kmax_bound(self):
         with pytest.raises(ValueError, match="kmax must be at most"):
