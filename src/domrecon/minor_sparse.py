@@ -215,13 +215,15 @@ def suggested_density(
     - ell <= 7: (ell - 2) n - C(ell - 1, 2) edges (Mader 1968);
     - ell = 8: 6n - 20 edges (Jorgensen 1994);
     - ell = 9: 7n - 27 edges (Song & Thomas 2006).
-    For ell >= 10 it returns ceil(C * ell * sqrt(log2 ell)), Thomason's
-    asymptotic extremal function (2001) with C ~ 0.265: exact only up to
-    a (1 + o(1)) factor and unproven at any fixed ell, so prefer a known
-    bound for the class at hand. With the default C it stays below
-    2 (ell - 2) for every ell below 2**56, although K_{ell-2} joined to s
-    independent vertices has no K_ell minor and holds K_{ell-2,s}, whose
-    average degree tends to 2 (ell - 2) as s grows.
+    For ell >= 10 it returns max(2 (ell - 2), ceil(2 C ell sqrt(log2 ell))).
+    K_{ell-2} joined to s independent vertices has no K_ell minor, and its
+    average degree tends to 2 (ell - 2) as s grows, so no smaller d can
+    hold. C ~ 0.265 is Thomason's edges-per-vertex constant (2001) with
+    log2 in place of ln, so the average-degree form of his extremal
+    function is twice that; it is exact only up to a (1 + o(1)) factor,
+    unproven at any fixed ell, and takes over from 2 (ell - 2) only from
+    ell = 19,310 with the default C. Prefer a known bound for the class at
+    hand.
     """
     if planar:
         return 4
@@ -231,7 +233,7 @@ def suggested_density(
         raise ValueError("C must be positive")
     if ell <= 9:
         return 2 * (ell - 2)
-    return math.ceil(C * ell * math.sqrt(math.log2(ell)))
+    return max(2 * (ell - 2), math.ceil(2 * C * ell * math.sqrt(math.log2(ell))))
 
 
 def minor_sparse_transform(

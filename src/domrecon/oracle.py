@@ -4,9 +4,12 @@ Nodes of R_k(G) are all dominating sets of size <= k, edges join sets whose
 symmetric difference is a single vertex. build_reconfig_graph lists nodes
 and adjacency rows, as diameters need; threshold_scan lists R_kmax this way
 once and measures every smaller R_k of its window as a prefix of it.
-SubsetLattice answers counts, components, frozen sets and distances on
-2**n-bit families of all subsets instead, for 2**n <= DEFAULT_SUBSET_CAP
-(n <= 22), in about (n + log2(n) + 4) * 2**n bits: roughly 3 MiB at n = 20.
+SubsetLattice holds R_k as 2**n-bit families of all subsets instead, for
+2**n <= DEFAULT_SUBSET_CAP (n <= 22), in about (n + log2(n) + 5) * 2**n
+bits: roughly 3.7 MiB at n = 20. Counts and frozen sets are a few big-int
+operations per vertex. Components and distances are explicit searches over
+set masks, about n steps per set reached, until a component or a BFS level
+passes 2**n / 4,096 sets (_SPARSE_CAP); 2**n-bit rounds take over from there.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .graphs import (
     Graph,
     LimitError,
     SubsetFamilies,
+    _minimal_dominating,
     bfs_levels,
     dominating_subsets,
     exact_invariants,
@@ -39,6 +43,12 @@ LATTICE_MAX_N = DEFAULT_SUBSET_CAP.bit_length() - 1
 # block holds two generations
 _BLOCK = 1024
 _ROW_BUDGET = 1 << 22
+# SubsetLattice searches explicit sets while a level (hops) or a component
+# (fills) holds at most 2**n * _SPARSE_CAP // DEFAULT_SUBSET_CAP sets: 1,024
+# at n = 22, 256 at n = 20, none below n = 12. One explicit set costs about
+# as much as 2**12 bits of a 2**n-bit round
+_SPARSE_CAP = 1 << 10
+_NONZERO = bytes([0] + [1] * 255)
 
 
 @dataclass(frozen=True)
@@ -100,20 +110,27 @@ class SubsetLattice:
         if g.n > LATTICE_MAX_N:
             raise LimitError(f"the lattice needs n <= {LATTICE_MAX_N}, got {g.n}")
         fam = SubsetFamilies(g)
+        size = 1 << g.n
         self.k, self.has = k, fam.has
         self.family = family = fam.dominating & fam.size_at_most(k)
+        # explicit searches test membership on one bytes view of the family
+        self._bits = [1 << v for v in range(g.n)]
+        self._view = family.to_bytes((size + 7) >> 3, "little")
+        self._cap = size * _SPARSE_CAP // DEFAULT_SUBSET_CAP
         # domination is closed upward: a node below size k has one edge up
         # per vertex it lacks, and each edge is counted from its lower end
         below = family & fam.size_at_most(k - 1)
         sizes = sum((below & p).bit_count() << i for i, p in enumerate(fam.planes))
         self.num_nodes = family.bit_count()
         self.num_edges = g.n * below.bit_count() - sizes
-        # frozen: no node one move away; each other component is one fill
-        self.frozen = family ^ (family & _moves(family, fam.has))
+        # frozen: a minimal dominating set that cannot add a vertex, as it has
+        # k members or is V; each other component is one fill
+        stuck = (family ^ below) | (family & 1 << size - 1)
+        self.frozen = stuck & _minimal_dominating(fam)
         self.num_components = self.frozen.bit_count()
         rest = family ^ self.frozen
         while rest:
-            rest ^= _fill(rest & -rest, family, fam.has)
+            rest ^= self._component((rest & -rest).bit_length() - 1, rest)
             self.num_components += 1
 
     def index_of(self, s) -> int:
@@ -123,24 +140,90 @@ class SubsetLattice:
         return mask
 
     def frozen_masks(self) -> list[int]:
-        # set bits read byte by byte: each x & -x would cost all 2**n bits
+        # set bits read byte by byte: each x & -x would cost all 2**n bits.
+        # A literal search for the bytes that _NONZERO maps to 1 runs in C,
+        # a character class byte by byte in the regex engine
         raw = self.frozen.to_bytes(-(-self.frozen.bit_length() // 8), "little")
-        hits = [(8 * m.start(), m[0][0]) for m in re.finditer(rb"[^\x00]", raw)]
-        masks = [at + bit for at, byte in hits for bit in range(8) if byte >> bit & 1]
-        return sorted(masks, key=lambda m: (m.bit_count(), sorted(set_of(m))))
+        starts = [m.start() for m in re.finditer(b"\x01", raw.translate(_NONZERO))]
+        masks = [8 * i + bit for i in starts for bit in range(8) if raw[i] >> bit & 1]
+        # size, then lex order of the members: among sets of one size, that
+        # is the bit-reversed mask, descending
+        width = len(self._bits)
+        return sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{width}b}"[::-1], 2)))
 
     def hops(self, a: int, b: int) -> int | float:
-        # BFS by frontier families from a, stopping once b is reached
-        reached = frontier = 1 << a
-        hops = 0
-        while not reached >> b & 1:
+        # bidirectional BFS over explicit sets, one full level of the smaller
+        # frontier at a time, until a new set is one the other side reached.
+        # That set lies at the other side's last depth D: the set before it
+        # on a shortest path would otherwise have met the other side one
+        # level earlier. So the distance is the new depth plus D. A level of
+        # more than _cap sets would cost more than a 2**n-bit round, and
+        # families take over from there
+        if a == b:
+            return 0
+        this, that = ({a: 0}, [a]), ({b: 0}, [b])
+        while True:
+            if len(that[1]) < len(this[1]):
+                this, that = that, this
+            (reached, level), (other, far) = this, that
+            if len(level) > self._cap:
+                return self._dense_hops(reached, level, far) + other[far[0]]
+            depth = reached[level[0]] + 1
+            level = _grow(level, depth, reached, self._view, self._bits)
+            if not level:
+                return math.inf
+            if any(map(other.__contains__, level)):
+                return depth + other[far[0]]
+            this = (reached, level)
+
+    def _dense_hops(self, reached: dict, level: list, far: list) -> int | float:
+        # the depth at which BFS by frontier families, carried on from an
+        # explicit side (level holds its deepest sets), first reaches a set
+        # of far
+        width = len(self._view)
+        depth = reached[level[0]]
+        seen, frontier = _pack(reached, width), _pack(level, width)
+        goal = _pack(far, width)
+        while not frontier & goal:
             grown = _moves(frontier, self.has) & self.family
-            frontier = grown ^ (grown & reached)
+            frontier = grown ^ (grown & seen)
             if not frontier:
                 return math.inf
-            reached |= frontier
-            hops += 1
-        return hops
+            seen |= frontier
+            depth += 1
+        return depth
+
+    def _component(self, s: int, rest: int) -> int:
+        # s's component within rest, the components not yet counted: an
+        # explicit BFS while it holds at most _cap sets, then _fill's sweeps
+        # from all it reached
+        reached, level = {s: 0}, [s]
+        while level and len(reached) <= self._cap:
+            level = _grow(level, reached[level[0]] + 1, reached, self._view, self._bits)
+        packed = _pack(reached, len(self._view))
+        return _fill(packed, rest, self.has) if level else packed
+
+
+def _grow(level, depth: int, reached: dict, view: bytes, bits) -> list[int]:
+    # the sets one move from level that are in the family (bit t of view)
+    # and not yet reached, entered in reached at depth
+    new = []
+    for s in level:
+        for bit in bits:
+            t = s ^ bit
+            if view[t >> 3] >> (t & 7) & 1 and t not in reached:
+                reached[t] = depth
+                new.append(t)
+    return new
+
+
+def _pack(masks, nbytes: int) -> int:
+    # masks as one 2**n-bit family of nbytes bytes, set through a bytearray:
+    # each |= 1 << m would cost all 2**n bits
+    raw = bytearray(nbytes)
+    for m in masks:
+        raw[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(raw, "little")
 
 
 def _moves(x: int, has) -> int:
@@ -154,10 +237,11 @@ def _moves(x: int, has) -> int:
 
 
 def _fill(reached: int, family: int, has) -> int:
-    # reached's component in family: each sweep adds the moves on v from all
-    # that is reached so far, v by v, so one sweep can go many hops
+    # reached's component in family, a union of components: each sweep adds
+    # the moves on v from all that is reached so far, v by v, so one sweep
+    # can go many hops. Once reached is all of family, no sweep can add more
     before = None
-    while reached != before:
+    while reached != before and reached != family:
         before = reached
         for v, members in enumerate(has):
             step = 1 << v

@@ -205,12 +205,20 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
     # gives new neighbours only to keep and the dropped bag's former
     # neighbours. So bags are checked in index order, and after a merge
     # just those of them not above the current index are checked again,
-    # lowest first: the order of a full rescan after every merge
+    # lowest first: the order of a full rescan after every merge. Likewise
+    # a pair once found not nested stays so: unchecked[i] is a heap of the
+    # neighbours i has not yet been tested against (entries of bags no
+    # longer adjacent are skipped), so each side tests a pair at most once
+    unchecked = [sorted(adj) for adj in adjacency]
     for start in range(b):
         pending = [start]
         while pending:
             i = heapq.heappop(pending)
-            for j in sorted(adjacency[i]):
+            heap = unchecked[i]
+            while heap:
+                j = heapq.heappop(heap)
+                if j not in adjacency[i]:
+                    continue
                 if bags[i] <= bags[j]:
                     drop, keep = i, j
                 elif bags[j] <= bags[i]:
@@ -223,9 +231,12 @@ def normalize_td(td: TreeDecomposition, root: int | None = None) -> NormalizedTD
                         adjacency[other].discard(drop)
                         adjacency[other].add(keep)
                         adjacency[keep].add(other)
+                        heapq.heappush(unchecked[other], keep)
+                        heapq.heappush(unchecked[keep], other)
                     if other <= start and other not in pending:
                         heapq.heappush(pending, other)
                 adjacency[drop] = set()
+                unchecked[drop] = []
                 alive[drop] = False
                 representative[drop] = keep
                 break

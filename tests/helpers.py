@@ -362,6 +362,12 @@ def naive_distance(adj, a: int, b: int) -> int | float:
     return _naive_bfs(adj, a).get(b, math.inf)
 
 
+def naive_distances(adj, a: int) -> list[int | float]:
+    """Hop counts from node index a to every node; math.inf when unreachable."""
+    dist = _naive_bfs(adj, a)
+    return [dist.get(b, math.inf) for b in range(len(adj))]
+
+
 def naive_eccentricity(adj, source: int) -> int:
     """Largest hop count from source within its component."""
     return max(_naive_bfs(adj, source).values())

@@ -195,8 +195,13 @@ class TestSuggestedDensity:
         assert suggested_density(ell=50, planar=True) == 4
 
     def test_clique_minor_bound(self):
+        # K_{ell-2} joined to many independent vertices has no K_ell minor
+        # and average degree near 2 (ell - 2); Thomason's term, twice his
+        # edges-per-vertex function, exceeds that from ell = 19,310
         assert suggested_density(3) == 2
-        assert suggested_density(10) == 5
+        assert suggested_density(10) == 16
+        assert suggested_density(19_309) == 2 * (19_309 - 2)
+        assert suggested_density(19_310) > 2 * (19_310 - 2)
 
     def test_proven_small_clique_bounds(self):
         # Mader for ell <= 7, Jorgensen for 8, Song & Thomas for 9; K_{2,3}

@@ -8,8 +8,8 @@ import tracemalloc
 import pytest
 
 import helpers
-from domrecon import oracle
-from domrecon.graphs import Graph, LimitError, exact_invariants, set_of
+from domrecon import cli, oracle
+from domrecon.graphs import Graph, LimitError, exact_invariants, format_vertex_list, set_of
 from domrecon.instances import gen_grid, gen_mynhardt
 from domrecon.oracle import (
     SubsetLattice,
@@ -148,11 +148,23 @@ class TestDistance:
             distance(rg, {0, 1, 2}, {1})
 
 
+@pytest.fixture(params=["dense", "explicit", "switching"])
+def lattice_route(request, monkeypatch):
+    """SubsetLattice searches on 2**n-bit families only (cap 0), on explicit
+    sets only (a cap no search reaches), or switching from explicit sets to
+    families after 0 to 4 sets for n <= 6."""
+    cap = {"dense": 0, "explicit": 1 << 40, "switching": 1 << 18}[request.param]
+    monkeypatch.setattr(oracle, "_SPARSE_CAP", cap)
+    return request.param
+
+
 class TestSubsetLattice:
     """The lattice route agrees with R_k built from its definition."""
 
     @staticmethod
-    def check(g, rng):
+    def check(g, rng=None):
+        # every ordered pair of nodes without rng, else 3 random pairs and
+        # one across components
         for k in range(g.n + 2):
             lat = SubsetLattice(g, k)
             nodes, adj = helpers.naive_reconfig_graph(g, k)
@@ -168,12 +180,17 @@ class TestSubsetLattice:
             ]
             if not nodes:
                 continue
+            sets = [set_of(mask) for mask in nodes]
+            if rng is None:
+                for i, a in enumerate(sets):
+                    want = helpers.naive_distances(adj, i)
+                    assert [distance(lat, a, b) for b in sets] == want
+                continue
             pairs = [(rng.randrange(len(nodes)), rng.randrange(len(nodes))) for _ in range(3)]
             # a pair across components, so the fill that misses B is checked
             pairs.append((0, comp.index(ncomp - 1)))
             for i, j in pairs:
-                a, b = set_of(nodes[i]), set_of(nodes[j])
-                assert distance(lat, a, b) == helpers.naive_distance(adj, i, j)
+                assert distance(lat, sets[i], sets[j]) == helpers.naive_distance(adj, i, j)
 
     def test_connected_atlas(self, atlas_connected):
         rng = random.Random(11)
@@ -185,6 +202,25 @@ class TestSubsetLattice:
         rng = random.Random(12)
         for g in helpers.seeded_small_graphs(10):
             self.check(g, rng)
+
+    def test_every_pair_on_each_route(self, atlas_connected, lattice_route):
+        # a == b, pairs across components (inf) and k >= n included
+        graphs = [g for n in range(1, 6) for g in atlas_connected[n]]
+        graphs += helpers.seeded_small_graphs(13, max_n=6)
+        for g in graphs:
+            self.check(g)
+
+    def test_edgeless_graphs_on_each_route(self, lattice_route):
+        # only V dominates: R_k is empty below k = n and else V alone, frozen
+        # at k > n too, since V is minimal and no vertex is left to add
+        for n in range(1, 9):
+            g = Graph(n, [])
+            for k in range(n + 3):
+                lat = SubsetLattice(g, k)
+                nodes, adj = helpers.naive_reconfig_graph(g, k)
+                assert nodes == ((1 << n) - 1,) * (k >= n)
+                assert lat.num_components == helpers.naive_label_components(adj)[1]
+                assert frozen_sets(lat) == [frozenset(range(n))] * (k >= n)
 
     def test_empty_and_full_budgets(self):
         # n = 1: R_0 is empty, and at k >= n the one node V is isolated
@@ -235,6 +271,46 @@ class TestSubsetLattice:
         assert oracle.LATTICE_MAX_N == 22
         with pytest.raises(LimitError, match="lattice needs n <= 22, got 23"):
             SubsetLattice(path(23), 2, limit=23)
+
+
+def record_calls(monkeypatch, name) -> list[str]:
+    """The list to which every call of oracle.<name> adds name."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+class TestSparseCost:
+    """Searches that touch few sets make no 2**n-bit round."""
+
+    def test_benchmark_distance_makes_no_family_round(self, capsys, monkeypatch, tmp_path):
+        # an oracle-query request: A and B add two vertices each to one
+        # minimum dominating set C of the 4x5 grid, so |A ^ B| = 4
+        g = gen_grid(4, 5)
+        core = exact_invariants(g).witness_min_ds
+        a, b = core | {1, 3}, core | {4, 5}
+        assert not core & {1, 3, 4, 5} and len(a) == len(b) == 8
+        graph = tmp_path / "grid.gr"
+        assert cli.main(["gen", "--family", "grid", "--param", "4", "5", "-o", str(graph)]) == 0
+        calls = record_calls(monkeypatch, "_moves")
+        argv = ["oracle", str(graph), "--k", "8", "--distance"]
+        assert cli.main(argv + [format_vertex_list(a), format_vertex_list(b)]) == 0
+        assert capsys.readouterr().out.endswith("distance 4\n")
+        assert calls == []
+
+    def test_small_components_fill_without_sweeps(self, monkeypatch):
+        # the 3x7 grid at k = 7: 611 frozen sets and 7 components of 16 to
+        # 46 sets, each found by an explicit search
+        calls = record_calls(monkeypatch, "_fill")
+        lat = SubsetLattice(gen_grid(3, 7), 7, limit=21)
+        assert (lat.num_nodes, lat.num_components, len(frozen_sets(lat))) == (783, 618, 611)
+        assert calls == []
 
 
 def atlas_reconfig_graphs(atlas_connected):
