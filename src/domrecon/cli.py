@@ -11,10 +11,12 @@ Exit codes: 0 success/valid, 1 invalid input, 2 verification failure,
 3 resource limit, 4 assumption violated (density witness, impossible
 budget, inconsistent sweep inputs). The DOMRECON_LIMIT environment
 variable overrides the default brute-force vertex limits; an explicit
---limit flag wins over both. stats and oracle check the header's n
-against their limit before reading the rest of the file, so a valid
-header over the limit exits 3 even when malformed lines follow (oracle
---scan with KMAX above n still exits 1 first).
+--limit flag wins over both. stats, oracle and every transform that
+runs exact_invariants (general, or minor-sparse / treewidth without
+--gamma-upper) check the header's n against their limit before reading
+the rest of the file, so a valid header over the limit exits 3 even when
+malformed lines follow (oracle --scan with KMAX above n, and transform's
+flag and vertex-list errors, still exit 1 first).
 """
 
 from __future__ import annotations
@@ -188,15 +190,10 @@ def _reject_flags(given: dict[str, bool], allowed: set[str], context: str):
 
 
 def cmd_transform(args) -> int:
-    g = parse_graph(_read(args.graph))
+    text = _read(args.graph)
     ds = parse_vertex_list(args.from_set)
     dt = parse_vertex_list(args.to_set)
-    _check_vertices(g, ds, "--from")
-    _check_vertices(g, dt, "--to")
     limit = _limit(args, DEFAULT_INVARIANTS_LIMIT)
-    comments = [f"transform --method {args.method}"]
-    if not is_connected(g):
-        comments.append("warning: input graph is disconnected")
     given = {
         "--k": args.k is not None,
         "--d": args.d is not None,
@@ -206,9 +203,35 @@ def cmd_transform(args) -> int:
         "--min-ds": args.min_ds is not None,
         "--gamma-upper": args.gamma_upper is not None,
     }
-
     if args.method == "general":
         _reject_flags(given, {"--k"}, "method general")
+    elif args.method == "minor-sparse":
+        _reject_flags(given, {"--d", "--planar", "--gamma-upper"}, "method minor-sparse")
+        if args.planar and args.d is not None:
+            raise ValueError("--planar fixes d = 4; passing --d too is ambiguous")
+        if not args.planar and args.d is None:
+            raise ValueError("method minor-sparse needs --d D or --planar")
+    else:
+        _reject_flags(
+            given, {"--td", "--root", "--min-ds", "--gamma-upper"}, "method treewidth"
+        )
+        if args.td is None:
+            raise ValueError("method treewidth needs --td FILE")
+    if args.gamma_upper is None:
+        # every method then runs exact_invariants (general takes no
+        # --gamma-upper), so an over-limit header exits 3 before the rest
+        # of the file is read
+        n = header_n(text)
+        if n is not None:
+            check_invariants_limit(n, limit)
+    g = parse_graph(text)
+    _check_vertices(g, ds, "--from")
+    _check_vertices(g, dt, "--to")
+    comments = [f"transform --method {args.method}"]
+    if not is_connected(g):
+        comments.append("warning: input graph is disconnected")
+
+    if args.method == "general":
         inv = exact_invariants(g, limit=limit)
         seq = general_transform(g, ds, dt, inv, k=args.k)
         bound = 10 * g.n
@@ -217,11 +240,6 @@ def cmd_transform(args) -> int:
             + (" <= override)" if args.k is not None else ")")
         )
     elif args.method == "minor-sparse":
-        _reject_flags(given, {"--d", "--planar", "--gamma-upper"}, "method minor-sparse")
-        if args.planar and args.d is not None:
-            raise ValueError("--planar fixes d = 4; passing --d too is ambiguous")
-        if not args.planar and args.d is None:
-            raise ValueError("method minor-sparse needs --d D or --planar")
         d = 4 if args.planar else args.d
         gamma_upper = args.gamma_upper
         if gamma_upper is None:
@@ -233,11 +251,6 @@ def cmd_transform(args) -> int:
             bound = 2 * gamma_upper * (d - 1) + 2 * (gamma_upper - 1)
         comments.append(f"k {seq.k} (Gamma {gamma_upper} + d {d} - 1)")
     else:
-        _reject_flags(
-            given, {"--td", "--root", "--min-ds", "--gamma-upper"}, "method treewidth"
-        )
-        if args.td is None:
-            raise ValueError("method treewidth needs --td FILE")
         td = parse_td(_read(args.td))
         gamma_upper = args.gamma_upper
         if gamma_upper is None:

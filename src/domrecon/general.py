@@ -20,7 +20,7 @@ from .sequences import (
     ReconfigSequence,
     add_then_remove,
     check_endpoints,
-    reverse_sequence,
+    play,
 )
 
 
@@ -53,7 +53,7 @@ def is_ds_to_is_path(g: Graph, d, s, k: int) -> ReconfigSequence:
         raise ValueError(
             f"budget violated: |d|+|s|-1 = {len(d) + len(s) - 1} exceeds k = {k}"
         )
-    return ReconfigSequence(d, add_then_remove(s - d, d - s), k)
+    return ReconfigSequence.tracked(d, add_then_remove(s - d, d - s), k, s)
 
 
 def common_vertex_path(g: Graph, d1, d2, k: int) -> ReconfigSequence:
@@ -67,13 +67,15 @@ def common_vertex_path(g: Graph, d1, d2, k: int) -> ReconfigSequence:
     if d1 == d2:
         if not is_minimal_dominating(g, d1):
             raise ValueError("endpoints must be minimal dominating sets")
-        return ReconfigSequence(d1, (), k)
+        return ReconfigSequence.tracked(d1, (), k, d1)
     common = d1 & d2
     if not common:
         raise ValueError("d1 and d2 must share a vertex")
     x = min(common)
     s = greedy_maximal_is(g, frozenset({x}))
-    return is_ds_to_is_path(g, d1, s, k) + reverse_sequence(is_ds_to_is_path(g, d2, s, k))
+    there = is_ds_to_is_path(g, d1, s, k).moves
+    back = is_ds_to_is_path(g, d2, s, k).reversed().moves
+    return ReconfigSequence.tracked(d1, there + back, k, d2)
 
 
 def _find_swap_pair(g: Graph, d1, d2):
@@ -91,12 +93,6 @@ def _find_swap_pair(g: Graph, d1, d2):
     return None
 
 
-def _reduction_prefix(g: Graph, s, k: int) -> tuple[ReconfigSequence, frozenset[int]]:
-    minimal, removals = reduce_to_minimal(g, s)
-    seq = ReconfigSequence(frozenset(s), tuple(Move.remove(v) for v in removals), k)
-    return seq, minimal
-
-
 def general_transform(
     g: Graph,
     ds,
@@ -107,10 +103,13 @@ def general_transform(
     """Dominating-set reconfiguration with budget Gamma + alpha - 1.
 
     Both endpoints are first reduced to minimal dominating sets D1, D2.
-    Then: share a vertex -> pivot through a common maximal independent set;
-    otherwise try a single add/remove swap that creates an intersection;
-    otherwise use a vertex x left undominated by the failed swap to build
-    two overlapping maximal independent sets and chain through them.
+    One CoverCounts, built from ds, makes every move of the walk: the
+    reduction to D1, the middle leg to D2 and the reduction of dt walked
+    backwards. The middle leg: share a vertex -> pivot through a common
+    maximal independent set; otherwise try a single add/remove swap that
+    creates an intersection; otherwise use a vertex x left undominated by
+    the failed swap to build two overlapping maximal independent sets and
+    chain through them.
 
     Args:
         inv: exact invariants of g (alpha and Gamma set the default budget).
@@ -129,26 +128,30 @@ def general_transform(
         raise ValueError(f"k = {k} is below Gamma + alpha - 1 = {base}")
     check_endpoints(g, ds, dt, k)
 
-    prefix, d1 = _reduction_prefix(g, ds, k)
-    suffix, d2 = _reduction_prefix(g, dt, k)
+    d1, removals = reduce_to_minimal(g, ds)
+    d2, back = reduce_to_minimal(g, dt)
+    state = CoverCounts(g, ds)
+    moves = play(state, map(Move.remove, removals))
+    moves += play(state, _middle_leg(g, d1, d2, inv, k))
+    reduction = ReconfigSequence.tracked(dt, tuple(map(Move.remove, back)), k, d2)
+    moves += play(state, reduction.reversed().moves)
+    return ReconfigSequence.tracked(ds, moves, k, state.members)
 
-    middle = _transform_minimal(g, d1, d2, inv, k)
-    return prefix + middle + reverse_sequence(suffix)
 
-
-def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
+def _middle_leg(g, d1, d2, inv, k) -> tuple[Move, ...]:
+    """The moves from the minimal dominating set d1 to d2."""
     if inv.alpha == 1:
         # complete graph: minimal dominating sets are singletons
         if d1 == d2:
-            return ReconfigSequence(d1, (), k)
+            return ()
         if k >= 2:
-            return ReconfigSequence(d1, add_then_remove(d2, d1), k)
+            return add_then_remove(d2, d1)
         raise UnreachableError(
             "k = 1 on a complete graph: every singleton dominating set is frozen"
         )
 
     if d1 & d2:
-        return common_vertex_path(g, d1, d2, k)
+        return common_vertex_path(g, d1, d2, k).moves
 
     pair = _find_swap_pair(g, d1, d2)
     if pair is not None:
@@ -160,14 +163,14 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
         # re-minimalization can never drop it
         if v not in reduced:
             raise RuntimeError(f"re-minimalization dropped swapped-in vertex {v + 1}")
-        moves += tuple(Move.remove(w) for w in removals)
-        head = ReconfigSequence(d1, moves, k)
-        return head + common_vertex_path(g, reduced, d2, k)
+        moves += tuple(map(Move.remove, removals))
+        return moves + common_vertex_path(g, reduced, d2, k).moves
 
     if len(d1) == 1:
         # d1's single vertex dominates everything, but no single vertex of
-        # d2 does: walk from d2 by adding it and stripping d2, then reverse
-        return reverse_sequence(ReconfigSequence(d2, add_then_remove(d1, d2), k))
+        # d2 does: reverse the walk from d2 that adds it and strips d2
+        walk = ReconfigSequence.tracked(d2, add_then_remove(d1, d2), k, d1)
+        return walk.reversed().moves
 
     u, v = min(d1), min(d2)
     swapped = (d1 - {u}) | {v}
@@ -177,9 +180,9 @@ def _transform_minimal(g, d1, d2, inv, k) -> ReconfigSequence:
     s1 = greedy_maximal_is(g, frozenset({x, u_k}))
     s2 = greedy_maximal_is(g, frozenset({x, v}))
     return (
-        is_ds_to_is_path(g, d1, s1, k)
-        + is_ds_to_is_path(g, s1, s2, k)
-        + reverse_sequence(is_ds_to_is_path(g, d2, s2, k))
+        is_ds_to_is_path(g, d1, s1, k).moves
+        + is_ds_to_is_path(g, s1, s2, k).moves
+        + is_ds_to_is_path(g, d2, s2, k).reversed().moves
     )
 
 

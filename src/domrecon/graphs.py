@@ -258,8 +258,8 @@ class CoverCounts:
     is O(1), add(v) / remove(v) walk v's row of g._closed in O(deg v), and
     private(v) reads what only member v dominates. A bad move (adding a
     member, removing a non-member) raises the same ValueError text as
-    sequences.apply_move and leaves the state unchanged; adding a vertex
-    outside 0..n-1 raises IndexError, also unchanged. It answers every
+    ReconfigSequence.end's replay and leaves the state unchanged; adding
+    a vertex outside 0..n-1 raises IndexError, also unchanged. It answers every
     domination question but is_dominating's one-shot "does s dominate";
     transforms carry one through sequences.play and shrink_in_place.
     """

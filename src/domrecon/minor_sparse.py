@@ -26,7 +26,6 @@ from .sequences import (
     add_then_remove,
     check_endpoints,
     play,
-    reverse_sequence,
     shrink_in_place,
 )
 from .general import general_transform
@@ -199,8 +198,11 @@ def pad_to_size(g: Graph, D, target: int, k: int) -> ReconfigSequence:
         raise ValueError(f"target {target} or |D| = {len(D)} exceeds k = {k}")
     if len(D) <= target:
         absent = (v for v in range(g.n) if v not in D)
-        return ReconfigSequence(D, add_then_remove(islice(absent, target - len(D))), k)
-    return ReconfigSequence(D, shrink_in_place(CoverCounts(g, D), target, ()), k)
+        added = frozenset(islice(absent, target - len(D)))
+        return ReconfigSequence.tracked(D, add_then_remove(added), k, D | added)
+    state = CoverCounts(g, D)
+    moves = shrink_in_place(state, target, ())
+    return ReconfigSequence.tracked(D, moves, k, state.members)
 
 
 def suggested_density(
@@ -262,7 +264,7 @@ def minor_sparse_transform(
     k = gamma_upper + d - 1
     check_endpoints(g, ds, dt, k)
     if ds == dt:
-        return ReconfigSequence(ds, (), k)
+        return ReconfigSequence.tracked(ds, (), k, ds)
     if d > gamma_upper:
         return general_transform(g, ds, dt, exact_invariants(g, limit=limit), k=k)
 
@@ -294,4 +296,4 @@ def minor_sparse_transform(
     members = state.members
     moves += play(state, add_then_remove(target - members, members - target))
     middle = ReconfigSequence.tracked(head.end, tuple(moves), k, state.members)
-    return head + middle + reverse_sequence(tail)
+    return head + middle + tail.reversed()

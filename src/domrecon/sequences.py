@@ -71,20 +71,6 @@ _ADDS: dict[int, Move] = {}
 _REMOVES: dict[int, Move] = {}
 
 
-def _check_move(s, move: Move) -> None:
-    if move.kind == ADD:
-        if move.vertex in s:
-            raise ValueError(f"cannot add {move.vertex}: already present")
-    elif move.vertex not in s:
-        raise ValueError(f"cannot remove {move.vertex}: not present")
-
-
-def apply_move(s: frozenset[int], move: Move) -> frozenset[int]:
-    """Apply one move; reject adding a present vertex or removing an absent one."""
-    _check_move(s, move)
-    return s | {move.vertex} if move.kind == ADD else s - {move.vertex}
-
-
 @dataclass(frozen=True)
 class ReconfigSequence:
     start: frozenset[int]
@@ -93,10 +79,12 @@ class ReconfigSequence:
 
     @classmethod
     def tracked(cls, start, moves, k: int, end) -> "ReconfigSequence":
-        """A sequence whose end the caller has already followed move by move
-        on a state of its own that rejects the same bad moves (a CoverCounts,
-        or the sequence this one reverses or extends); `end` is stored as the
-        replayed end, so reading it costs nothing."""
+        """A sequence whose end the caller already knows: it followed the
+        moves on a state of its own that rejects the same bad moves (a
+        CoverCounts, or the sequence this one reverses or extends), or built
+        them from set differences that fix the end. `end` is stored, so
+        reading it costs nothing. Every sequence the package constructs is
+        made this way; only parsed or hand-built ones replay."""
         seq = cls(start, moves, k)
         seq.__dict__["end"] = frozenset(end)  # the cached_property's slot
         return seq
@@ -108,28 +96,34 @@ class ReconfigSequence:
     def end(self) -> frozenset[int]:
         """The set after the last move.
 
-        Replayed on one mutable set, O(moves), at most once per sequence:
-        the result is cached, and `+`, reverse_sequence and
-        ReconfigSequence.tracked hand a known end on without a replay. A
-        malformed move raises apply_move's ValueError, and nothing is
-        cached, so every access raises it again.
+        Known without a replay for every sequence the package constructs
+        (ReconfigSequence.tracked; `+` and reversed hand a known end on). A
+        parsed or hand-built sequence is replayed once on a plain set,
+        O(moves), and the result cached. A malformed move raises the
+        ValueError CoverCounts.add / remove raise, and nothing is cached,
+        so every access raises it again.
         """
         s = set(self.start)
         for mv in self.moves:
-            _check_move(s, mv)
+            v = mv.vertex
             if mv.kind == ADD:
-                s.add(mv.vertex)
+                if v in s:
+                    raise ValueError(f"cannot add {v}: already present")
+                s.add(v)
+            elif v in s:
+                s.remove(v)
             else:
-                s.remove(mv.vertex)
+                raise ValueError(f"cannot remove {v}: not present")
         return frozenset(s)
 
-    def states(self):
-        """Yield the start set and the set after each move."""
-        s = self.start
-        yield s
-        for mv in self.moves:
-            s = apply_move(s, mv)
-            yield s
+    def reversed(self) -> "ReconfigSequence":
+        """Walk the sequence backwards: start at its end, flip each move.
+
+        Replays the sequence only if its end is not known yet; the reversed
+        walk ends at start, which it carries as its known end.
+        """
+        flipped = tuple(mv.flipped() for mv in reversed(self.moves))
+        return ReconfigSequence.tracked(self.end, flipped, self.k, self.start)
 
     def __add__(self, other: "ReconfigSequence") -> "ReconfigSequence":
         if self.k != other.k:
@@ -144,14 +138,13 @@ class ReconfigSequence:
         return ReconfigSequence.tracked(self.start, moves, self.k, known)
 
 
+# the public spelling of ReconfigSequence.reversed
+reverse_sequence = ReconfigSequence.reversed
+
+
 def add_then_remove(adds=(), removes=()) -> tuple[Move, ...]:
     """The walk every construction uses: all adds, then all removes, each ascending."""
     return tuple(map(Move.add, sorted(adds))) + tuple(map(Move.remove, sorted(removes)))
-
-
-def sequence_from_vertices(start, adds=(), removes=(), k: int = 0) -> ReconfigSequence:
-    """Convenience constructor over add_then_remove."""
-    return ReconfigSequence(frozenset(start), add_then_remove(adds, removes), k)
 
 
 def play(state: CoverCounts, moves) -> tuple[Move, ...]:
@@ -197,17 +190,6 @@ def check_endpoints(g: Graph, ds, dt, k: int):
             raise ValueError(f"{name} is not a dominating set")
         if len(s) > k:
             raise ValueError(f"{name} has size {len(s)} > k = {k}")
-
-
-def reverse_sequence(seq: ReconfigSequence) -> ReconfigSequence:
-    """Walk the sequence backwards: start at its end, flip each move.
-
-    Replays seq only if its end is not known yet; the reversed walk ends at
-    seq.start, which it carries as its known end.
-    """
-    return ReconfigSequence.tracked(
-        seq.end, tuple(mv.flipped() for mv in reversed(seq.moves)), seq.k, seq.start
-    )
 
 
 NOT_DOMINATING = "not-dominating"

@@ -33,7 +33,6 @@ from .sequences import (
     add_then_remove,
     check_endpoints,
     play,
-    reverse_sequence,
     shrink_in_place,
 )
 
@@ -499,7 +498,7 @@ def treewidth_transform(
 
     forward = sweep(ds)
     backward = sweep(dt)
-    total = forward + reverse_sequence(backward)
+    total = forward + backward.reversed()
     if len(total.moves) > 4 * (g.n + 1) * (tw + 1):
         raise SweepError(f"{len(total.moves)} moves exceed the 4 (n+1) (tw+1) bound")
     return total

@@ -20,6 +20,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from domrecon import Graph
 from domrecon.graphs import GraphInvariants, LimitError
 from domrecon.sequences import (
+    ADD,
     BAD_MOVE,
     NOT_DOMINATING,
     SIZE_EXCEEDS_K,
@@ -169,10 +170,29 @@ def naive_pop_removable(g: Graph, current: set[int], prefer_outside) -> int:
     raise ValueError("no removable vertex")
 
 
+def naive_states(seq: ReconfigSequence):
+    """Yield the start set and the set after each move, one frozenset per
+    state. Adding a present vertex or removing an absent one raises the
+    ValueError texts of CoverCounts and ReconfigSequence.end."""
+    current = frozenset(seq.start)
+    yield current
+    for mv in seq.moves:
+        v = mv.vertex
+        if mv.kind == ADD:
+            if v in current:
+                raise ValueError(f"cannot add {v}: already present")
+            current = current | {v}
+        else:
+            if v not in current:
+                raise ValueError(f"cannot remove {v}: not present")
+            current = current - {v}
+        yield current
+
+
 def naive_verify_sequence(
     g: Graph, seq: ReconfigSequence, expected_end=None, k: int | None = None
 ) -> VerificationReport:
-    """verify_sequence as a replay over one frozenset per state (states())."""
+    """verify_sequence as a replay over one frozenset per state (naive_states)."""
     budget = seq.k if k is None else k
     bad_index = bad_reason = None
 
@@ -184,7 +204,7 @@ def naive_verify_sequence(
     max_size = 0
     end = None
     try:
-        for i, current in enumerate(seq.states()):
+        for i, current in enumerate(naive_states(seq)):
             max_size = max(max_size, len(current))
             if len(current) > budget:
                 note(i, SIZE_EXCEEDS_K)
@@ -192,7 +212,7 @@ def naive_verify_sequence(
                 note(i, NOT_DOMINATING)
             end = current
     except ValueError:
-        # states() stopped at the malformed move i + 1
+        # naive_states stopped at the malformed move i + 1
         note(i + 1, BAD_MOVE)
         end = None
     end_matches = (

@@ -30,8 +30,8 @@ from domrecon.minor_sparse import (
 )
 from domrecon.sequences import (
     ReconfigSequence,
+    add_then_remove,
     reverse_sequence,
-    sequence_from_vertices,
     verify_sequence,
 )
 from domrecon.treewidth import treewidth_transform, validate_td
@@ -246,7 +246,7 @@ def test_greedy_domination_and_sequence_algebra(atlas_all_small):
             assert is_minimal_dominating(g, greedy_maximal_is(g, seed))
 
     g = instances.gen_path(4)
-    seq = sequence_from_vertices(frozenset({0, 2}), [1, 3], [0, 2], k=4)
+    seq = ReconfigSequence(frozenset({0, 2}), add_then_remove([1, 3], [0, 2]), 4)
     assert verify_sequence(g, seq, expected_end=frozenset({1, 3})).end_matches
     back = reverse_sequence(seq)
     assert back.start == seq.end and back.end == seq.start

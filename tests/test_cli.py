@@ -230,6 +230,33 @@ class TestTransform:
         assert "limit:" in err
 
     @pytest.mark.parametrize(
+        "method",
+        [
+            ("--method", "general"),
+            ("--method", "minor-sparse", "--d", "2"),
+            ("--method", "treewidth", "--td", "missing.td"),
+        ],
+        ids=["general", "minor-sparse", "treewidth"],
+    )
+    def test_header_over_the_limit_parses_no_graph(
+        self, capsys, tmp_path, monkeypatch, method
+    ):
+        # each method runs exact_invariants here, so the header's n is
+        # refused before the graph (or the decomposition) is read
+        f = tmp_path / "big.gr"
+        f.write_text("p ds 1000000 0\n")
+
+        def forbidden(text):
+            raise AssertionError("the graph was parsed")
+
+        monkeypatch.setattr(cli, "parse_graph", forbidden)
+        assert run(capsys, "transform", str(f), "--from", "1", "--to", "2", *method) == (
+            3,
+            "",
+            "limit: exact_invariants needs n <= 24, got 1000000\n",
+        )
+
+    @pytest.mark.parametrize(
         "n, edges, start, end, d, length",
         [
             (2, [(1, 2)], "1", "1,2", "2", 3),

@@ -311,7 +311,7 @@ class TestCoverCounts:
         g = path(4)
         state = CoverCounts(g, {1, 3})
         before = snapshot(state)
-        # the texts apply_move raises, so verify_sequence can share them
+        # the texts ReconfigSequence.end raises on a parsed sequence
         with pytest.raises(ValueError, match=r"^cannot add 1: already present$"):
             state.add(1)
         with pytest.raises(ValueError, match=r"^cannot remove 0: not present$"):

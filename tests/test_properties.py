@@ -6,7 +6,8 @@ minimal dominating set (members dropped in a random order while the rest
 still dominates; every minimal set is reachable this way) grown by random
 extra vertices. For every outcome the sequence must be valid, end at the
 target, stay within k, respect the method's length bound and be no shorter
-than the R_k distance the oracle reports. A NotMinorSparseError must carry
+than the R_k distance the oracle reports; the returned sequence must know
+its end without a replay. A NotMinorSparseError must carry
 a density witness that verifies against its A and B.
 """
 
@@ -51,6 +52,8 @@ def endpoint(data, g: Graph, k: int) -> frozenset[int]:
 
 
 def check(g: Graph, ds, dt, seq, k: int, bound: int):
+    # the transform followed its end on its own state: known without a replay
+    assert "end" in seq.__dict__ and seq.end == dt
     report = verify_sequence(g, seq, expected_end=dt)
     assert report.valid and report.end_matches, report.describe()
     assert seq.k == k and report.max_size <= k

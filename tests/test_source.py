@@ -275,3 +275,57 @@ def test_sweep_holds_no_masks():
         )
 
     assert owners(path, names_mask_of) == set()
+
+
+def qualified_owners(path, is_target):
+    """(file, dotted path of enclosing classes and functions) of every node
+    of path's source that is_target accepts; "" outside any of them."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if is_target(node):
+            found.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_constructed_sequences_are_tracked():
+    # every sequence a construction returns carries the end it followed
+    # (ReconfigSequence.tracked), so `+` and reverse_sequence never replay;
+    # only parse_sequence and the class itself build one whose end is
+    # replayed, and that replay and CoverCounts are the package's only
+    # checks of a bad move
+    sources = sorted(Path(domrecon.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+
+    def builds_sequence(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "ReconfigSequence"
+        )
+
+    def raises_bad_move(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(part, ast.Constant)
+            and isinstance(part.value, str)
+            and ("already present" in part.value or "not present" in part.value)
+            for part in ast.walk(node)
+        )
+
+    built = set().union(*(qualified_owners(path, builds_sequence) for path in sources))
+    assert {
+        (name, owner)
+        for name, owner in built
+        if not owner.startswith(".ReconfigSequence.")
+    } == {("sequences.py", ".parse_sequence")}
+    assert set().union(*(qualified_owners(path, raises_bad_move) for path in sources)) == {
+        ("graphs.py", ".CoverCounts.add"),
+        ("graphs.py", ".CoverCounts.remove"),
+        ("sequences.py", ".ReconfigSequence.end"),
+    }
