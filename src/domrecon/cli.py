@@ -7,16 +7,19 @@ answers on the 2**n-bit subset lattice while 2**n <= the subset cap (n <= 22
 by default; about (n + log2 n + 4) * 2**n bits); --diameter, --scan and
 larger n list R_k's nodes and edges instead.
 
-Exit codes: 0 success/valid, 1 invalid input, 2 verification failure,
+Exit codes: 0 success/valid, 1 invalid input, 2 verification failure
+(an invalid sequence, or a transform longer than its length bound),
 3 resource limit, 4 assumption violated (density witness, impossible
 budget, inconsistent sweep inputs). The DOMRECON_LIMIT environment
 variable overrides the default brute-force vertex limits; an explicit
---limit flag wins over both. stats, oracle and every transform that
-runs exact_invariants (general, or minor-sparse / treewidth without
---gamma-upper) check the header's n against their limit before reading
-the rest of the file, so a valid header over the limit exits 3 even when
-malformed lines follow (oracle --scan with KMAX above n, and transform's
-flag and vertex-list errors, still exit 1 first).
+--limit flag wins over both, and a negative value of either is invalid
+input. Every request that brute-forces refuses an over-limit header
+before it reads any other input: stats, oracle, and each transform that
+runs exact_invariants (no --gamma-upper, or minor-sparse with d > Gamma)
+or searches a minimum dominating set (treewidth without --min-ds). So a
+valid header over the limit exits 3 even when malformed lines follow
+(oracle --scan with KMAX above n, and transform's flag and vertex-list
+errors, still exit 1 first).
 """
 
 from __future__ import annotations
@@ -45,13 +48,35 @@ from .graphs import (
 )
 from .minor_sparse import DensityWitness, NotMinorSparseError, minor_sparse_transform
 from .sequences import format_sequence, parse_sequence, verify_sequence
-from .treewidth import format_td, parse_td, treewidth_transform
+from .treewidth import check_min_ds_limit, format_td, parse_td, treewidth_transform
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_VERIFICATION = 2
 EXIT_LIMIT = 3
 EXIT_ASSUMPTION = 4
+
+# family: (parameter count, graph generator, decomposition generators)
+_FAMILIES = {
+    "star": (1, instances.gen_star, None),
+    "mynhardt": (
+        1,
+        instances.gen_mynhardt,
+        {"--td": instances.gen_mynhardt_td, "--pd": instances.gen_mynhardt_pd},
+    ),
+    "suzuki": (0, instances.gen_suzuki_planar, None),
+    "grid": (2, instances.gen_grid, None),
+    "path": (1, instances.gen_path, None),
+    "rtree": (2, instances.gen_random_tree, None),
+}
+# the optional flags each transform method and each oracle mode takes; the
+# others of its table are rejected, in the order the table lists them
+_METHOD_FLAGS = {
+    "general": ("--k",),
+    "minor-sparse": ("--d", "--planar", "--gamma-upper"),
+    "treewidth": ("--td", "--root", "--min-ds", "--gamma-upper"),
+}
+_MODE_FLAGS = {"--k": ("--distance", "--frozen", "--diameter"), "--scan": ("--csv",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,23 +87,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _env_limit(default: int) -> int:
-    raw = os.environ.get("DOMRECON_LIMIT")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"DOMRECON_LIMIT must be an integer, got {raw!r}") from None
-
-
 def _limit(args, default: int) -> int:
-    return args.limit if args.limit is not None else _env_limit(default)
+    name, limit = "--limit", args.limit
+    if limit is None:
+        name, raw = "DOMRECON_LIMIT", os.environ.get("DOMRECON_LIMIT")
+        if raw is None:
+            return default
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if limit < 0:
+        raise ValueError(f"{name} must be nonnegative, got {limit}")
+    return limit
 
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _graph(text: str, refuse=None):
+    """Parse a graph file; refuse, when given, sees the header's n first and
+    raises LimitError for an n over its limit, before the rest is read."""
+    if refuse is not None:
+        n = header_n(text)
+        if n is not None:
+            refuse(n)
+    return parse_graph(text)
+
+
+def _reject_flags(args, table: dict, choice: str, context: str):
+    for flag in dict.fromkeys(flag for flags in table.values() for flag in flags):
+        # argparse's dest for --min-ds is min_ds; an absent store_true is False
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False and flag not in table[choice]:
+            raise ValueError(f"{flag} does not apply to {context}")
 
 
 def _emit(text: str, path: str | None):
@@ -114,53 +158,28 @@ def _witness_lines(witness: DensityWitness) -> list[str]:
 def cmd_gen(args) -> int:
     family = args.family
     params = args.param or []
-
-    def need(count: int):
-        if len(params) != count:
-            raise ValueError(
-                f"family {family} takes {count} parameter(s), got {len(params)}"
-            )
-
-    if (args.td or args.pd) and family != "mynhardt":
-        raise ValueError("--td and --pd apply only to the mynhardt family")
+    count, generate, decompositions = _FAMILIES[family]
+    shape = "--td" if args.td else "--pd" if args.pd else None
+    if shape and not decompositions:
+        named = " ".join(name for name, entry in _FAMILIES.items() if entry[2])
+        raise ValueError(f"--td and --pd apply only to the {named} family")
+    if len(params) != count:
+        raise ValueError(
+            f"family {family} takes {count} parameter(s), got {len(params)}"
+        )
     label = " ".join([f"gen {family}"] + [str(p) for p in params])
-    if family == "mynhardt":
-        need(1)
-        if args.td:
-            text = format_td(instances.gen_mynhardt_td(params[0]), [label + " --td"])
-        elif args.pd:
-            text = format_td(instances.gen_mynhardt_pd(params[0]), [label + " --pd"])
-        else:
-            text = format_graph(instances.gen_mynhardt(params[0]), [label])
-        _emit(text, args.output)
-        return EXIT_OK
-    if family == "star":
-        need(1)
-        g = instances.gen_star(params[0])
-    elif family == "path":
-        need(1)
-        g = instances.gen_path(params[0])
-    elif family == "grid":
-        need(2)
-        g = instances.gen_grid(params[0], params[1])
-    elif family == "rtree":
-        need(2)
-        g = instances.gen_random_tree(params[0], params[1])
+    if shape:
+        text = format_td(decompositions[shape](*params), [f"{label} {shape}"])
     else:
-        need(0)
-        g = instances.gen_suzuki_planar()
-    _emit(format_graph(g, [label]), args.output)
+        text = format_graph(generate(*params), [label])
+    _emit(text, args.output)
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     text = _read(args.graph)
     limit = _limit(args, DEFAULT_INVARIANTS_LIMIT)
-    # an over-limit header exits 3 before the rest of the file is read
-    n = header_n(text)
-    if n is not None:
-        check_invariants_limit(n, limit)
-    g = parse_graph(text)
+    g = _graph(text, lambda n: check_invariants_limit(n, limit))
     inv = exact_invariants(g, limit=limit)
     fields = [
         ("n", g.n),
@@ -183,78 +202,43 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _reject_flags(given: dict[str, bool], allowed: set[str], context: str):
-    for flag, present in given.items():
-        if present and flag not in allowed:
-            raise ValueError(f"{flag} does not apply to {context}")
-
-
 def cmd_transform(args) -> int:
     text = _read(args.graph)
     ds = parse_vertex_list(args.from_set)
     dt = parse_vertex_list(args.to_set)
     limit = _limit(args, DEFAULT_INVARIANTS_LIMIT)
-    given = {
-        "--k": args.k is not None,
-        "--d": args.d is not None,
-        "--planar": args.planar,
-        "--td": args.td is not None,
-        "--root": args.root is not None,
-        "--min-ds": args.min_ds is not None,
-        "--gamma-upper": args.gamma_upper is not None,
-    }
-    if args.method == "general":
-        _reject_flags(given, {"--k"}, "method general")
-    elif args.method == "minor-sparse":
-        _reject_flags(given, {"--d", "--planar", "--gamma-upper"}, "method minor-sparse")
+    _reject_flags(args, _METHOD_FLAGS, args.method, f"method {args.method}")
+    if args.method == "minor-sparse":
         if args.planar and args.d is not None:
             raise ValueError("--planar fixes d = 4; passing --d too is ambiguous")
         if not args.planar and args.d is None:
             raise ValueError("method minor-sparse needs --d D or --planar")
-    else:
-        _reject_flags(
-            given, {"--td", "--root", "--min-ds", "--gamma-upper"}, "method treewidth"
+    elif args.method == "treewidth" and args.td is None:
+        raise ValueError("method treewidth needs --td FILE")
+    d = 4 if args.planar else args.d
+
+    def runs_general(gamma_upper) -> bool:
+        # minor-sparse falls back to the general transform when d > Gamma
+        return args.method == "general" or (
+            args.method == "minor-sparse" and d > gamma_upper
         )
-        if args.td is None:
-            raise ValueError("method treewidth needs --td FILE")
-    if args.gamma_upper is None:
-        # every method then runs exact_invariants (general takes no
-        # --gamma-upper), so an over-limit header exits 3 before the rest
-        # of the file is read
-        n = header_n(text)
-        if n is not None:
+
+    def refuse(n: int):
+        # the brute-force steps this request takes, known from its flags;
+        # minor-sparse answers ds == dt with no moves, before any fallback
+        if args.gamma_upper is None or (ds != dt and runs_general(args.gamma_upper)):
             check_invariants_limit(n, limit)
-    g = parse_graph(text)
+        if args.method == "treewidth" and args.min_ds is None:
+            check_min_ds_limit(n, limit)
+
+    g = _graph(text, refuse)
     _check_vertices(g, ds, "--from")
     _check_vertices(g, dt, "--to")
     comments = [f"transform --method {args.method}"]
     if not is_connected(g):
         comments.append("warning: input graph is disconnected")
-
-    if args.method == "general":
-        inv = exact_invariants(g, limit=limit)
-        seq = general_transform(g, ds, dt, inv, k=args.k)
-        bound = 10 * g.n
-        comments.append(
-            f"k {seq.k} (Gamma {inv.gamma_upper} + alpha {inv.alpha} - 1"
-            + (" <= override)" if args.k is not None else ")")
-        )
-    elif args.method == "minor-sparse":
-        d = 4 if args.planar else args.d
-        gamma_upper = args.gamma_upper
-        if gamma_upper is None:
-            gamma_upper = exact_invariants(g, limit=limit).gamma_upper
-        seq = minor_sparse_transform(g, ds, dt, d, gamma_upper, limit=limit)
-        if d > gamma_upper:  # minor_sparse_transform ran general_transform
-            bound = 10 * g.n
-        else:
-            bound = 2 * gamma_upper * (d - 1) + 2 * (gamma_upper - 1)
-        comments.append(f"k {seq.k} (Gamma {gamma_upper} + d {d} - 1)")
-    else:
+    if args.method == "treewidth":
         td = parse_td(_read(args.td))
-        gamma_upper = args.gamma_upper
-        if gamma_upper is None:
-            gamma_upper = exact_invariants(g, limit=limit).gamma_upper
         min_ds = None
         if args.min_ds is not None:
             min_ds = _read_set_file(args.min_ds)
@@ -266,6 +250,21 @@ def cmd_transform(args) -> int:
                     f"--root {args.root} is not a bag id (1..{td.num_bags})"
                 )
             root = args.root - 1
+
+    # with --gamma-upper, only minor-sparse's general fallback runs
+    # exact_invariants, inside minor_sparse_transform
+    inv = None if args.gamma_upper is not None else exact_invariants(g, limit=limit)
+    gamma_upper = args.gamma_upper if inv is None else inv.gamma_upper
+    if args.method == "general":
+        seq = general_transform(g, ds, dt, inv, k=args.k)
+        comments.append(
+            f"k {seq.k} (Gamma {gamma_upper} + alpha {inv.alpha} - 1"
+            + (" <= override)" if args.k is not None else ")")
+        )
+    elif args.method == "minor-sparse":
+        seq = minor_sparse_transform(g, ds, dt, d, gamma_upper, limit=limit)
+        comments.append(f"k {seq.k} (Gamma {gamma_upper} + d {d} - 1)")
+    else:
         # the library warns through the warnings module, whose text names
         # this file and line; the CLI prints one stable line instead
         with warnings.catch_warnings(record=True) as caught:
@@ -277,13 +276,20 @@ def cmd_transform(args) -> int:
             finally:
                 for warning in caught:
                     print(f"warning: {warning.message}", file=sys.stderr)
-        tw = td.width
-        bound = 4 * (g.n + 1) * (tw + 1)
-        comments.append(f"k {seq.k} (Gamma {gamma_upper} + tw {tw} + 1)")
+        comments.append(f"k {seq.k} (Gamma {gamma_upper} + tw {td.width} + 1)")
+    if runs_general(gamma_upper):
+        bound = 10 * g.n
+    elif args.method == "minor-sparse":
+        bound = 2 * gamma_upper * (d - 1) + 2 * (gamma_upper - 1)
+    else:
+        bound = 4 * (g.n + 1) * (td.width + 1)
 
     report = verify_sequence(g, seq, expected_end=dt)
     if not (report.valid and report.end_matches):
         print(report.describe(), file=sys.stderr)
+        return EXIT_VERIFICATION
+    if report.length > bound:
+        print(f"length {report.length} exceeds the bound {bound}", file=sys.stderr)
         return EXIT_VERIFICATION
     comments.append(f"length {report.length} (bound {bound})")
     comments.append(f"max-size {report.max_size}")
@@ -303,7 +309,7 @@ def _read_set_file(path: str) -> frozenset[int]:
 
 
 def cmd_verify(args) -> int:
-    g = parse_graph(_read(args.graph))
+    g = _graph(_read(args.graph))
     seq = parse_sequence(_read(args.sequence))
     used = set(seq.start)
     for mv in seq.moves:
@@ -315,27 +321,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    given = {
-        "--distance": args.distance is not None,
-        "--frozen": args.frozen,
-        "--diameter": args.diameter,
-        "--csv": args.csv,
-    }
-    if args.scan is not None:
-        _reject_flags(given, {"--csv"}, "--scan")
-    else:
-        _reject_flags(given, {"--distance", "--frozen", "--diameter"}, "--k")
+    mode = "--k" if args.scan is None else "--scan"
+    _reject_flags(args, _MODE_FLAGS, mode, mode)
     text = _read(args.graph)
     limit = _limit(args, oracle.DEFAULT_VERTEX_LIMIT)
-    # an over-limit header exits 3 before the rest of the file is read, by
-    # the oracle's own checks in their order (kmax > n first)
-    n = header_n(text)
-    if n is not None and n > limit:
-        if args.scan is not None:
-            oracle.check_scan(n, args.scan, limit)
-        else:
-            oracle.check_request(n, args.k, limit)
-    g = parse_graph(text)
+
+    def refuse(n: int):
+        # the oracle's own checks, in their order (kmax > n first)
+        if n > limit:
+            if args.scan is not None:
+                oracle.check_scan(n, args.scan, limit)
+            else:
+                oracle.check_request(n, args.k, limit)
+
+    g = _graph(text, refuse)
     if args.scan is not None:
         report = oracle.threshold_scan(g, args.scan, limit=limit)
         table = [["k", "nodes", "edges", "components", "connected", "diameter"]]
@@ -401,11 +400,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("gen", help="write an instance family to a graph/td file")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["star", "mynhardt", "suzuki", "grid", "path", "rtree"],
-    )
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--param", type=int, nargs="*", help="family parameters")
     shape = p.add_mutually_exclusive_group()
     shape.add_argument(
@@ -427,9 +422,7 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("--from", dest="from_set", required=True, metavar="SET")
     p.add_argument("--to", dest="to_set", required=True, metavar="SET")
-    p.add_argument(
-        "--method", required=True, choices=["general", "minor-sparse", "treewidth"]
-    )
+    p.add_argument("--method", required=True, choices=list(_METHOD_FLAGS))
     p.add_argument("--k", type=int, help="budget override (general method)")
     p.add_argument("--d", type=int, help="excluded minor density (minor-sparse)")
     p.add_argument("--planar", action="store_true", help="shortcut for --d 4")

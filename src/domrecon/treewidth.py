@@ -421,6 +421,12 @@ def final_merge(
     return add_then_remove(missing, surplus)
 
 
+def check_min_ds_limit(n: int, limit: int) -> None:
+    """The refusal of treewidth_transform's minimum dominating set search."""
+    if n > limit:
+        raise LimitError(f"computing min_ds needs n <= {limit}, got {n}")
+
+
 def treewidth_transform(
     g: Graph,
     td: TreeDecomposition,
@@ -457,8 +463,7 @@ def treewidth_transform(
     k = gamma_upper + tw + 1
 
     if min_ds is None:
-        if g.n > limit:
-            raise LimitError(f"computing min_ds needs n <= {limit}, got {g.n}")
+        check_min_ds_limit(g.n, limit)
         target = set_of(next(dominating_subsets(g, g.n)))
     else:
         target = frozenset(min_ds)

@@ -14,9 +14,19 @@ from domrecon.instances import (
     gen_star,
     gen_suzuki_planar,
 )
-from domrecon.minor_sparse import DensityEntry, DensityWitness, NotMinorSparseError
-from domrecon.sequences import SequenceFormatError
-from domrecon.treewidth import DecompositionError, SweepError
+from domrecon.minor_sparse import (
+    DensityEntry,
+    DensityWitness,
+    NotMinorSparseError,
+    minor_sparse_transform,
+)
+from domrecon.sequences import Move, ReconfigSequence, SequenceFormatError
+from domrecon.treewidth import (
+    DecompositionError,
+    SweepError,
+    parse_td,
+    treewidth_transform,
+)
 
 
 @pytest.fixture()
@@ -113,6 +123,22 @@ class TestGen:
         assert code == 1
         assert "takes 1 parameter(s), got 0" in err
 
+    # parameter counts per family, stated here apart from the CLI's table
+    COUNTS = {"star": 1, "mynhardt": 1, "suzuki": 0, "grid": 2, "path": 1, "rtree": 2}
+
+    def test_counts_cover_every_family(self):
+        assert set(self.COUNTS) == set(cli._FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(COUNTS))
+    def test_param_count_checked_per_family(self, capsys, family):
+        count = self.COUNTS[family]
+        for given in {count - 1, count + 1} - {-1}:
+            assert run(capsys, "gen", "--family", family, "--param", *["3"] * given) == (
+                1,
+                "",
+                f"error: family {family} takes {count} parameter(s), got {given}\n",
+            )
+
     def test_td_requires_mynhardt(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "star", "--param", "3", "--td")
         assert code == 1
@@ -158,6 +184,21 @@ class TestStats:
         code, _, err = run(capsys, "stats", p3)
         assert code == 1
         assert "DOMRECON_LIMIT" in err
+
+    def test_negative_limit_is_a_flag_error(self, capsys, p3, monkeypatch):
+        assert run(capsys, "stats", p3, "--limit", "-1") == (
+            1,
+            "",
+            "error: --limit must be nonnegative, got -1\n",
+        )
+        monkeypatch.setenv("DOMRECON_LIMIT", "-2")
+        assert run(capsys, "stats", p3) == (
+            1,
+            "",
+            "error: DOMRECON_LIMIT must be nonnegative, got -2\n",
+        )
+        # 0 is a limit every graph exceeds, not a flag error
+        assert run(capsys, "stats", p3, "--limit", "0")[0] == 3
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", str(tmp_path / "nope.gr"))
@@ -255,6 +296,76 @@ class TestTransform:
             "",
             "limit: exact_invariants needs n <= 24, got 1000000\n",
         )
+
+    @pytest.mark.parametrize("method", ["minor-sparse", "treewidth"])
+    def test_header_over_the_limit_with_gamma_upper(
+        self, capsys, tmp_path, monkeypatch, method
+    ):
+        # these requests brute-force despite --gamma-upper: minor-sparse with
+        # d = 3 > Gamma runs the general transform's exact invariants, and
+        # treewidth without --min-ds searches a minimum dominating set. The
+        # header's n is refused with the text the library's own check raises
+        g = gen_star(30)
+        f = tmp_path / "star.gr"
+        f.write_text(format_graph(g))
+        td = tmp_path / "star.td"
+        td.write_text(
+            "s td 30 2 31\n"
+            + "".join(f"b {i} 1 {i + 1}\n" for i in range(1, 31))
+            + "".join(f"1 {i}\n" for i in range(2, 31))
+        )
+        with pytest.raises(LimitError) as info:
+            if method == "minor-sparse":
+                minor_sparse_transform(g, {0}, {0, 1}, 3, 1)
+            else:
+                treewidth_transform(g, parse_td(td.read_text()), {0}, {0, 1}, 1)
+        flags = ("--d", "3") if method == "minor-sparse" else ("--td", str(td))
+        argv = ("transform", str(f), "--from", "1", "--method", method, *flags)
+        if method == "minor-sparse":
+            # equal endpoints need no moves and no fallback, so no brute force
+            code, out, err = run(capsys, *argv, "--to", "1", "--gamma-upper", "1")
+            assert (code, err) == (0, "")
+            assert "c length 0 (bound 310)" in out
+
+        def forbidden(text):
+            raise AssertionError("the graph was parsed")
+
+        monkeypatch.setattr(cli, "parse_graph", forbidden)
+        assert run(capsys, *argv, "--to", "1,2", "--gamma-upper", "1") == (
+            3,
+            "",
+            f"limit: {info.value}\n",
+        )
+
+    def test_negative_limit_is_a_flag_error(self, capsys, tmp_path):
+        # --gamma-upper spares minor-sparse (d <= Gamma) any brute force, so
+        # only the flag check can refuse the limit
+        f = tmp_path / "p6.gr"
+        f.write_text("p ds 6 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\n")
+        assert run(
+            capsys, "transform", str(f), "--from", "1,3,5", "--to", "2,4,6",
+            "--method", "minor-sparse", "--d", "2", "--gamma-upper", "3",
+            "--limit", "-1",
+        ) == (1, "", "error: --limit must be nonnegative, got -1\n")
+
+    def test_length_over_the_bound_exits_2(self, capsys, p3, tmp_path, monkeypatch):
+        # a valid sequence padded with +1 -1 pairs past the 10 n bound
+        def padded(*args, **kwargs):
+            seq = general_transform(*args, **kwargs)
+            pad = (Move.add(0), Move.remove(0)) * 15
+            return ReconfigSequence.tracked(seq.start, seq.moves + pad, seq.k, seq.end)
+
+        general_transform = cli.general_transform
+        monkeypatch.setattr(cli, "general_transform", padded)
+        out = tmp_path / "seq.txt"
+        argv = ("transform", p3, "--from", "1,3", "--to", "2", "--method", "general")
+        assert run(capsys, *argv, "-o", str(out)) == (
+            2,
+            "",
+            "length 33 exceeds the bound 30\n",
+        )
+        assert not out.exists()
+        assert run(capsys, *argv) == (2, "", "length 33 exceeds the bound 30\n")
 
     @pytest.mark.parametrize(
         "n, edges, start, end, d, length",

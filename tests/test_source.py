@@ -329,3 +329,40 @@ def test_constructed_sequences_are_tracked():
         ("graphs.py", ".CoverCounts.remove"),
         ("sequences.py", ".ReconfigSequence.end"),
     }
+
+
+def test_cli_states_each_choice_once():
+    # one graph reader refuses an over-limit header for every command, one
+    # exact_invariants call serves every transform method, and one table
+    # names each instance family
+    package = Path(domrecon.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 9
+
+    def calls(name):
+        def is_call(node):
+            return isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == name)
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+            )
+
+        return is_call
+
+    assert set().union(*(owners(path, calls("header_n")) for path in sources)) == {
+        ("cli.py", "_graph")
+    }
+    cli_path = package / "cli.py"
+    tree = ast.parse(cli_path.read_text(encoding="utf-8"))
+    (transform,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_transform"
+    ]
+    assert sum(map(calls("exact_invariants"), ast.walk(transform))) == 1
+    families = ["star", "mynhardt", "suzuki", "grid", "path", "rtree"]
+    constants = [
+        node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+    ]
+    assert {name: constants.count(name) for name in families} == dict.fromkeys(
+        families, 1
+    )
