@@ -7,9 +7,14 @@ once and measures every smaller R_k of its window as a prefix of it.
 SubsetLattice holds R_k as 2**n-bit families of all subsets instead, for
 2**n <= DEFAULT_SUBSET_CAP (n <= 22), in about (n + log2(n) + 5) * 2**n
 bits: roughly 3.7 MiB at n = 20. Counts and frozen sets are a few big-int
-operations per vertex. Components and distances are explicit searches over
-set masks, about n steps per set reached, until a component or a BFS level
-passes 2**n / 4,096 sets (_SPARSE_CAP); 2**n-bit rounds take over from there.
+operations per vertex. Components come from R_k's minimal dominating sets:
+each frozen set is one, and the others are the groups of H, the minimal
+sets below size k linked when their union has at most k members, found by
+a search over set masks within a budget of union tests (65,536 at n = 20,
+none below n = 12); past it, 2**n-bit fill sweeps count them instead.
+Distances are a search over set masks, about n steps per set reached,
+until a BFS level passes 2**n / 4,096 sets (_SPARSE_CAP); 2**n-bit rounds
+take over from there.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, groupby
-from operator import itemgetter, ne, or_
+from heapq import heappop, heappush
+from itertools import compress, count, groupby
+from operator import itemgetter, ne, not_, or_
 
 from .graphs import (
     Graph,
@@ -43,10 +49,11 @@ LATTICE_MAX_N = DEFAULT_SUBSET_CAP.bit_length() - 1
 # block holds two generations
 _BLOCK = 1024
 _ROW_BUDGET = 1 << 22
-# SubsetLattice searches explicit sets while a level (hops) or a component
-# (fills) holds at most 2**n * _SPARSE_CAP // DEFAULT_SUBSET_CAP sets: 1,024
-# at n = 22, 256 at n = 20, none below n = 12. One explicit set costs about
-# as much as 2**12 bits of a 2**n-bit round
+# SubsetLattice searches explicit sets while a BFS level (hops) holds at most
+# cap = 2**n * _SPARSE_CAP // DEFAULT_SUBSET_CAP sets: 1,024 at n = 22, 256
+# at n = 20, none below n = 12. One explicit set costs about as much as 2**12
+# bits of a 2**n-bit round. H's search (components) makes at most cap << 8
+# union tests, 65,536 at n = 20, about the cost of one fill sweep
 _SPARSE_CAP = 1 << 10
 _NONZERO = bytes([0] + [1] * 255)
 
@@ -103,7 +110,14 @@ def _not_a_node(s, k: int) -> ValueError:
 
 class SubsetLattice:
     """R_k(G) as 2**n-bit families (see graphs.SubsetFamilies), unlisted:
-    node S is bit S of `family`, and index_of gives S's mask."""
+    node S is bit S of `family`, and index_of gives S's mask.
+
+    num_components counts the frozen sets, the minimal dominating sets of
+    size k (or V), plus the groups of H: its nodes are the other minimal
+    sets, and two are linked when their union has at most k members. H's
+    search stops after cap << 8 union tests (see _SPARSE_CAP), and then
+    2**n-bit fills count the components that are not frozen from scratch.
+    """
 
     def __init__(self, g: Graph, k: int, limit: int = DEFAULT_VERTEX_LIMIT):
         check_request(g.n, k, limit)
@@ -124,14 +138,17 @@ class SubsetLattice:
         self.num_nodes = family.bit_count()
         self.num_edges = g.n * below.bit_count() - sizes
         # frozen: a minimal dominating set that cannot add a vertex, as it has
-        # k members or is V; each other component is one fill
+        # k members or is V
+        minimal = family & _minimal_dominating(fam)
         stuck = (family ^ below) | (family & 1 << size - 1)
-        self.frozen = stuck & _minimal_dominating(fam)
-        self.num_components = self.frozen.bit_count()
-        rest = family ^ self.frozen
-        while rest:
-            rest ^= self._component((rest & -rest).bit_length() - 1, rest)
-            self.num_components += 1
+        self.frozen = stuck & minimal
+        groups = self._linked_groups(_set_bits(minimal ^ self.frozen))
+        if groups is None:
+            groups, rest = 0, family ^ self.frozen
+            while rest:
+                rest ^= _fill(rest & -rest, rest, self.has)
+                groups += 1
+        self.num_components = self.frozen.bit_count() + groups
 
     def index_of(self, s) -> int:
         mask = mask_of(s)
@@ -140,15 +157,10 @@ class SubsetLattice:
         return mask
 
     def frozen_masks(self) -> list[int]:
-        # set bits read byte by byte: each x & -x would cost all 2**n bits.
-        # A literal search for the bytes that _NONZERO maps to 1 runs in C,
-        # a character class byte by byte in the regex engine
-        raw = self.frozen.to_bytes(-(-self.frozen.bit_length() // 8), "little")
-        starts = [m.start() for m in re.finditer(b"\x01", raw.translate(_NONZERO))]
-        masks = [8 * i + bit for i in starts for bit in range(8) if raw[i] >> bit & 1]
         # size, then lex order of the members: among sets of one size, that
         # is the bit-reversed mask, descending
         width = len(self._bits)
+        masks = _set_bits(self.frozen)
         return sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{width}b}"[::-1], 2)))
 
     def hops(self, a: int, b: int) -> int | float:
@@ -193,15 +205,35 @@ class SubsetLattice:
             depth += 1
         return depth
 
-    def _component(self, s: int, rest: int) -> int:
-        # s's component within rest, the components not yet counted: an
-        # explicit BFS while it holds at most _cap sets, then _fill's sweeps
-        # from all it reached
-        reached, level = {s: 0}, [s]
-        while level and len(reached) <= self._cap:
-            level = _grow(level, reached[level[0]] + 1, reached, self._view, self._bits)
-        packed = _pack(reached, len(self._view))
-        return _fill(packed, rest, self.has) if level else packed
+    def _linked_groups(self, sets: list[int]) -> int | None:
+        # H's groups (see the class docstring) by an explicit search. A node
+        # S of R_k reaches each minimal set inside it by removals, and the
+        # ends of a move S, S + v share the minimal sets inside S, so two
+        # minimal sets share a component of R_k exactly when a chain of H's
+        # edges joins them: D reaches D' through D | D'.
+        # Each group starts from its smallest set, and the smallest reached
+        # set, newest first, expands next: it has the most slack, so it
+        # reaches the most. An expansion tests every set not yet reached.
+        # None once the tests pass the budget; the groups finished by then
+        # are not counted
+        k, budget = self.k, self._cap << 8
+        rest = sorted(sets, key=int.bit_count)
+        newest = count(0, -1)
+        groups = 0
+        while rest:
+            groups += 1
+            heap, rest = [(0, 0, rest[0])], rest[1:]
+            while heap and rest:
+                d = heappop(heap)[2]
+                budget -= len(rest)
+                if budget < 0:
+                    return None
+                linked = [(d | u).bit_count() <= k for u in rest]
+                if True in linked:
+                    for u in compress(rest, linked):
+                        heappush(heap, (u.bit_count(), next(newest), u))
+                    rest = list(compress(rest, map(not_, linked)))
+        return groups
 
 
 def _grow(level, depth: int, reached: dict, view: bytes, bits) -> list[int]:
@@ -234,6 +266,16 @@ def _moves(x: int, has) -> int:
     for v, members in enumerate(has):
         out |= ((x << (1 << v)) & members) | ((x & members) >> (1 << v))
     return out
+
+
+def _set_bits(family: int) -> list[int]:
+    # the set bits of a 2**n-bit family, ascending, read byte by byte: each
+    # x & -x would cost all 2**n bits. A literal search for the bytes that
+    # _NONZERO maps to 1 runs in C, a character class byte by byte in the
+    # regex engine
+    raw = family.to_bytes(-(-family.bit_length() // 8), "little")
+    starts = [m.start() for m in re.finditer(b"\x01", raw.translate(_NONZERO))]
+    return [8 * i + bit for i in starts for bit in range(8) if raw[i] >> bit & 1]
 
 
 def _fill(reached: int, family: int, has) -> int:

@@ -150,9 +150,11 @@ class TestDistance:
 
 @pytest.fixture(params=["dense", "explicit", "switching"])
 def lattice_route(request, monkeypatch):
-    """SubsetLattice searches on 2**n-bit families only (cap 0), on explicit
-    sets only (a cap no search reaches), or switching from explicit sets to
-    families after 0 to 4 sets for n <= 6."""
+    """SubsetLattice searches on 2**n-bit families only (cap 0: hops by
+    rounds, components by fills once H needs a test), on explicit sets only
+    (a cap no search reaches), or switching: hops turn to families after 0
+    to 4 sets for n <= 6, and H's search to fills after 2**(n + 4) tests
+    for n >= 4 (at once below)."""
     cap = {"dense": 0, "explicit": 1 << 40, "switching": 1 << 18}[request.param]
     monkeypatch.setattr(oracle, "_SPARSE_CAP", cap)
     return request.param
@@ -234,14 +236,20 @@ class TestSubsetLattice:
             assert distance(lat, {0}, {0}) == 0
 
     @pytest.mark.parametrize(
-        "g,ks",
-        [(gen_mynhardt(3), (3, 4, 5, 10)), (gen_mynhardt(4), (6, 7)), (gen_grid(4, 5), (8,))],
-        ids=["mynhardt3", "mynhardt4", "grid4x5"],
+        "g,ks,limit",
+        [
+            (gen_mynhardt(3), (3, 4, 5, 10), 20),
+            (gen_mynhardt(4), (6, 7), 20),
+            (gen_grid(4, 5), (8, 9, 10), 20),
+            # 611 frozen sets and two groups of H, both with more than one set
+            (gen_grid(3, 7), (8,), 21),
+        ],
+        ids=["mynhardt3", "mynhardt4", "grid4x5", "grid3x7"],
     )
-    def test_against_the_node_list(self, g, ks):
+    def test_against_the_node_list(self, g, ks, limit):
         for k in ks:
-            rg = build_reconfig_graph(g, k)
-            lat = SubsetLattice(g, k)
+            rg = build_reconfig_graph(g, k, limit)
+            lat = SubsetLattice(g, k, limit)
             assert (lat.num_nodes, lat.num_edges, lat.num_components) == (
                 rg.num_nodes,
                 rg.num_edges,
@@ -250,6 +258,16 @@ class TestSubsetLattice:
             assert frozen_sets(lat) == frozen_sets(rg)
             first, last = set_of(rg.nodes[0]), set_of(rg.nodes[-1])
             assert distance(lat, first, last) == distance(rg, first, last)
+
+    def test_components_beyond_the_atlas_on_each_route(self, lattice_route):
+        # n = 7 to 12, every k: H's search (explicit and switching) and the
+        # fills that take over once it needs a test (dense)
+        for g in helpers.seeded_small_graphs(14):
+            if g.n < 7:
+                continue
+            for k in range(g.n + 2):
+                want = build_reconfig_graph(g, k).num_components
+                assert SubsetLattice(g, k).num_components == want, (g.n, g.edges(), k)
 
     def test_frozen_in_canonical_order(self):
         # C4 at k = 2: six isolated pairs, {0,3} before {1,2} though 9 > 6
@@ -306,11 +324,57 @@ class TestSparseCost:
 
     def test_small_components_fill_without_sweeps(self, monkeypatch):
         # the 3x7 grid at k = 7: 611 frozen sets and 7 components of 16 to
-        # 46 sets, each found by an explicit search
+        # 46 sets, each one group of H, the minimal sets below size k
         calls = record_calls(monkeypatch, "_fill")
         lat = SubsetLattice(gen_grid(3, 7), 7, limit=21)
         assert (lat.num_nodes, lat.num_components, len(frozen_sets(lat))) == (783, 618, 611)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "g,ks", [(gen_grid(4, 5), (8, 9, 10)), (gen_mynhardt(4), (6, 7, 8))],
+        ids=["grid4x5", "mynhardt4"],
+    )
+    def test_benchmark_components_make_no_fill(self, monkeypatch, g, ks):
+        # the oracle-query lattices: every group of H is found within the
+        # budget of tests, so no 2**n-bit sweep runs
+        calls = record_calls(monkeypatch, "_fill")
+        for k in ks:
+            SubsetLattice(g, k)
+        assert calls == []
+
+    def test_dense_groups_fall_back_to_fills(self, monkeypatch):
+        # six disjoint triangles at k = 7 (n = 18): H holds the 729 sets with
+        # one vertex per triangle, a Hamming graph too dense for the budget
+        triangle = ((0, 1), (1, 2), (0, 2))
+        g = Graph(18, [(3 * t + a, 3 * t + b) for t in range(6) for a, b in triangle])
+        calls = record_calls(monkeypatch, "_fill")
+        lat = SubsetLattice(g, 7)
+        assert calls
+        assert lat.num_components == build_reconfig_graph(g, 7).num_components == 1
+
+    def test_finished_groups_are_not_counted_twice(self, monkeypatch):
+        # mynhardt(4) at k = 6: H's smallest set is linked to none of the
+        # other 320, so its group is finished after 320 tests. A cap of 64
+        # gives a budget of 512 tests at n = 17, which the second group
+        # runs out of, and the fills count both groups from scratch
+        g = gen_mynhardt(4)
+        monkeypatch.setattr(oracle, "_SPARSE_CAP", 64)
+        searched = []
+        real = SubsetLattice._linked_groups
+
+        def recorded(lat, sets):
+            searched.append(sets)
+            return real(lat, sets)
+
+        monkeypatch.setattr(SubsetLattice, "_linked_groups", recorded)
+        calls = record_calls(monkeypatch, "_fill")
+        lat = SubsetLattice(g, 6)
+        (sets,) = searched
+        first = min(sets, key=lambda m: (m.bit_count(), m))
+        assert len(sets) == 321 and lat._cap << 8 == 512
+        assert all((first | u).bit_count() > 6 for u in sets if u != first)
+        assert len(calls) == 2
+        assert lat.num_components == build_reconfig_graph(g, 6).num_components == 2
 
 
 def atlas_reconfig_graphs(atlas_connected):

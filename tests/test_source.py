@@ -130,6 +130,32 @@ def test_private_bfs_helpers_have_one_caller_each():
     }
 
 
+def test_one_set_bit_reader_in_the_oracle():
+    # the lattice reads the set bits of a 2**n-bit family in one place, for
+    # its frozen sets and for H's nodes, and counts components from H, not
+    # by a BFS over R_k's sets
+    path = Path(domrecon.__file__).parent / "oracle.py"
+    readers, functions = [], set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+            functions.add(node.name)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "finditer"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "re"
+        ):
+            readers.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    assert readers == ["_set_bits"]
+    assert "_linked_groups" in functions and "_component" not in functions
+
+
 def test_comment_rule_only_in_content_lines():
     # every file format skips the same comment lines ('c' or 'c ...'),
     # decided once by graphs.content_lines
